@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Optional
 
 ColourWord = str
 
@@ -26,10 +26,6 @@ PURPLE = "P"
 _ALPHABET = (BLUE, PURPLE, RED)
 
 _BIT_CODES = {RED: "01", BLUE: "10", PURPLE: "00"}
-
-# Compact 2-bits-per-letter packing used for memo keys on hot paths.
-_PACK_CODE = {BLUE: 0, PURPLE: 1, RED: 2}
-_PACK_LETTER = "BPR"
 
 _RC_TABLE = str.maketrans("RB", "BR")
 
@@ -184,25 +180,7 @@ def insert_purple(word: ColourWord, position: int) -> ColourWord:
         raise ValueError(f"word not admissible: {word!r}")
     if not 0 <= position <= len(word):
         raise ValueError(f"position {position} out of range for {word!r}")
-    letters = list(word)
-    letters.insert(position, PURPLE)
-    for i in range(position + 1, len(letters)):
-        ch = letters[i]
-        if ch != BLUE:
-            if ch == RED:
-                del letters[i]
-            else:
-                letters[i] = BLUE
-            break
-    for i in range(position - 1, -1, -1):
-        ch = letters[i]
-        if ch != RED:
-            if ch == BLUE:
-                del letters[i]
-            else:
-                letters[i] = RED
-            break
-    return "".join(letters)
+    return _word_text[_transitions(_wid(word))[position][1]]
 
 
 def reverse_complement(word: ColourWord) -> ColourWord:
@@ -210,18 +188,100 @@ def reverse_complement(word: ColourWord) -> ColourWord:
     return word.translate(_RC_TABLE)[::-1]
 
 
-def pack_word(word: ColourWord) -> int:
-    """Pack a word into an int, 2 bits per letter behind a sentinel bit."""
-    v = 1
-    for ch in word:
-        v = (v << 2) | _PACK_CODE[ch]
-    return v
+# ---------------------------------------------------------------------------
+# Interned colour words: the one implementation of the move operator.
+#
+# Every solver that plays on colour words shares this table.  A word is
+# interned once as a small int id with its (reddish, bluish) counts; the
+# move operator runs once per word and caches two views of its result:
+# per-gap transitions for the chain solvers and deduplicated child ids for
+# the dense-order solver.  The operator maps admissible words to admissible
+# words, so only words entering from outside are validated (by callers).
+# Count pairs take few distinct values and are shared between words.
+#
+# The table is process-global and grows without bound; interning is
+# check-then-act without a lock, so it must not be shared across threads.
+
+_word_ids: dict[str, int] = {}
+_word_text: list[str] = []
+_word_counts: list[tuple[int, int]] = []
+_word_trans: list[Optional[tuple]] = []
+_word_kids: list[Optional[tuple]] = []
+_count_pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def unpack_word(packed: int) -> ColourWord:
-    """Inverse of pack_word."""
+def _intern(word: str, counts: tuple[int, int]) -> int:
+    wid = len(_word_text)
+    _word_ids[word] = wid
+    _word_text.append(word)
+    _word_counts.append(_count_pairs.setdefault(counts, counts))
+    _word_trans.append(None)
+    _word_kids.append(None)
+    return wid
+
+
+def _wid(word: str) -> int:
+    """Id of a word, interning it on first sight."""
+    wid = _word_ids.get(word)
+    if wid is None:
+        wid = _intern(word, (reddish(word), bluish(word)))
+    return wid
+
+
+def _moves(wid: int) -> list[tuple[int, int, int, int, int, int]]:
+    """Play a card into every gap j of the word: (j, child id, child
+    reddish, child bluish, rmerge, lmerge) for j = 0..len.
+
+    The P enters at j; the first reddish letter at or after j (index nr)
+    loses its red tinge and the last bluish letter before j (index lb) its
+    blue tinge.  rmerge/lmerge index the left gap of a pair of adjacent gaps
+    that a deleted letter merges in the vector (gaps[:j], l, r, gaps[j+1:]),
+    or are -1; rmerge is applied first.
+    """
+    word = _word_text[wid]
+    r, b = _word_counts[wid]
+    ids = _word_ids
+    k = len(word)
+    next_red = [k] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        next_red[i] = i if word[i] != BLUE else next_red[i + 1]
     out = []
-    while packed > 1:
-        out.append(_PACK_LETTER[packed & 3])
-        packed >>= 2
-    return "".join(reversed(out))
+    lb = -1
+    for j in range(k + 1):
+        if j and word[j - 1] != RED:
+            lb = j - 1
+        nr = next_red[j]
+        if nr == k:
+            tail, cr, rmerge = word[j:], r + 1, -1
+        elif word[nr] == RED:
+            tail, cr, rmerge = word[j:nr] + word[nr + 1 :], r, nr + 1
+        else:
+            tail, cr, rmerge = word[j:nr] + BLUE + word[nr + 1 :], r, -1
+        if lb < 0:
+            head, cb, lmerge = word[:j], b + 1, -1
+        elif word[lb] == BLUE:
+            head, cb, lmerge = word[:lb] + word[lb + 1 : j], b, lb
+        else:
+            head, cb, lmerge = word[:lb] + RED + word[lb + 1 : j], b, -1
+        child = head + PURPLE + tail
+        cid = ids.get(child)
+        if cid is None:
+            cid = _intern(child, (cr, cb))
+        out.append((j, cid, cr, cb, rmerge, lmerge))
+    return out
+
+
+def _transitions(wid: int) -> tuple:
+    """Chain view: the per-gap move tuples of _moves, cached."""
+    trans = _word_trans[wid]
+    if trans is None:
+        trans = _word_trans[wid] = tuple(_moves(wid))
+    return trans
+
+
+def _child_ids(wid: int) -> tuple[int, ...]:
+    """Dense-order view: distinct child ids in gap order, cached."""
+    kids = _word_kids[wid]
+    if kids is None:
+        kids = _word_kids[wid] = tuple(dict.fromkeys(m[1] for m in _moves(wid)))
+    return kids

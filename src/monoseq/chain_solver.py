@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bumping import bluish, double_bump, reddish
+from .bumping import _transitions, _wid, _word_text, double_bump
 from .errors import ResourceLimitError
 from .order_core import FiniteChain, GameParams, Mode, Outcome
 
@@ -103,68 +102,6 @@ def canonical_state(deck: FiniteChain, board) -> GapState:
     return GapState(rec.colour_word(), tuple(gaps))
 
 
-# ---------------------------------------------------------------------------
-# Interned colour words and their move transitions.
-#
-# The letter-level effect of playing into gap j depends only on the word,
-# not on the gap sizes, so it is computed once per (word, j): the child
-# word, its reddish/bluish counts, and up to two adjacent-gap merges in the
-# intermediate gap vector (gaps[:j], l, r, gaps[j+1:]).
-
-_word_ids: dict[str, int] = {}
-_word_text: list[str] = []
-_word_trans: list[Optional[tuple]] = []
-
-
-def _wid(word: str) -> int:
-    wid = _word_ids.get(word)
-    if wid is None:
-        wid = len(_word_text)
-        _word_ids[word] = wid
-        _word_text.append(word)
-        _word_trans.append(None)
-    return wid
-
-
-def _transitions(wid: int) -> tuple:
-    trans = _word_trans[wid]
-    if trans is None:
-        trans = _build_transitions(_word_text[wid])
-        _word_trans[wid] = trans
-    return trans
-
-
-def _build_transitions(word: str) -> tuple:
-    k = len(word)
-    out = []
-    for j in range(k + 1):
-        letters = list(word)
-        letters.insert(j, "P")
-        rmerge = -1
-        for t in range(j + 1, k + 1):
-            ch = letters[t]
-            if ch != "B":
-                if ch == "R":
-                    del letters[t]
-                    rmerge = t
-                else:
-                    letters[t] = "B"
-                break
-        lmerge = -1
-        for s in range(j - 1, -1, -1):
-            ch = letters[s]
-            if ch != "R":
-                if ch == "B":
-                    del letters[s]
-                    lmerge = s
-                else:
-                    letters[s] = "R"
-                break
-        child = "".join(letters)
-        out.append((j, _wid(child), reddish(child), bluish(child), rmerge, lmerge))
-    return tuple(out)
-
-
 _EMPTY_WID = _wid("")
 
 
@@ -173,10 +110,8 @@ class ChainSolver:
 
     The transposition table is keyed on exact GapStates, which do not
     mention the deck size, so solving several n for the same parameters
-    reuses the table.  Deterministic and single-threaded by default; with
-    ``threads > 1`` the root moves are evaluated concurrently and the
-    results combined in card order, so outcome and smallest winning move
-    are identical to the sequential run.
+    reuses the table.  Deterministic and single-threaded: outcomes, smallest
+    winning moves and node counts repeat exactly run to run.
     """
 
     def __init__(
@@ -185,12 +120,10 @@ class ChainSolver:
         *,
         node_limit: int = 10**9,
         memo_limit: int = 10**8,
-        threads: int = 1,
     ):
         self.params = params
         self.node_limit = node_limit
         self.memo_limit = memo_limit
-        self.threads = max(1, threads)
         self._memo: dict = {}
         self._counter = [0]
         self._value = self._make_value()
@@ -285,24 +218,13 @@ class ChainSolver:
     def _solve_root(self, n: int) -> tuple[int, Optional[int]]:
         value = self._value
         ((_, pid, _, _, _, _),) = _transitions(_EMPTY_WID)
-        children = [(l + 1, (l, n - 1 - l)) for l in range(n)]
         if n == 1:
             return _D, None
-        if self.threads == 1:
-            saw_draw = False
-            for card, gaps in children:
-                cv = value(pid, gaps, n - 1)
-                if cv == _P:
-                    return _N, card
-                if cv == _D:
-                    saw_draw = True
-            return (_D if saw_draw else _P), None
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            results = list(pool.map(lambda c: value(pid, c[1], n - 1), children))
         saw_draw = False
-        for (card, _), cv in zip(children, results):
+        for l in range(n):
+            cv = value(pid, (l, n - 1 - l), n - 1)
             if cv == _P:
-                return _N, card
+                return _N, l + 1
             if cv == _D:
                 saw_draw = True
         return (_D if saw_draw else _P), None
@@ -317,13 +239,9 @@ def solve_chain(
     *,
     node_limit: int = 10**9,
     memo_limit: int = 10**8,
-    threads: int = 1,
 ) -> SolveReport:
     """Solve (a, d, [n]) with a fresh transposition table."""
-    solver = ChainSolver(
-        params, node_limit=node_limit, memo_limit=memo_limit, threads=threads
-    )
-    return solver.solve(n)
+    return ChainSolver(params, node_limit=node_limit, memo_limit=memo_limit).solve(n)
 
 
 # ---------------------------------------------------------------------------

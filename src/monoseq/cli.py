@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -172,10 +171,7 @@ def _report_payload(a, d, n, mode, report: SolveReport) -> dict:
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
     solve = solve_chain_capped if args.capped else solve_chain
-    kwargs = {"node_limit": args.node_limit, "memo_limit": args.memo_limit}
-    if not args.capped:
-        kwargs["threads"] = args.threads
-    report = solve(params, args.n, **kwargs)
+    report = solve(params, args.n, node_limit=args.node_limit, memo_limit=args.memo_limit)
     if args.json:
         print(json.dumps(_report_payload(args.a, args.d, args.n, params.mode, report)))
     else:
@@ -321,15 +317,6 @@ def _cmd_certify(args) -> int:
     return 0 if verdict else 1
 
 
-def _chain_rows(params_list, max_n: int, threads: int):
-    rows = []
-    for a, d, mode in params_list:
-        solver = ChainSolver(GameParams(a, d, mode), threads=threads)
-        for n in range(1, max_n + 1):
-            rows.append((a, d, n, mode, solver.solve(n).outcome))
-    return rows
-
-
 def _verify_misere_table(args) -> SuiteResult:
     max_n = args.max_n or (FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
     result = SuiteResult("misere-table")
@@ -337,7 +324,7 @@ def _verify_misere_table(args) -> SuiteResult:
         with open(args.golden) as fh:
             cases = [
                 (a, d, n, o)
-                for a, d, n, m, o in golden.load_csv_rows(fh.read())
+                for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
                 if m is Mode.MISERE and n <= max_n
             ]
     else:
@@ -346,7 +333,7 @@ def _verify_misere_table(args) -> SuiteResult:
     for a, d, n, expected in cases:
         solver = solvers.get((a, d))
         if solver is None:
-            solver = ChainSolver(GameParams(a, d, Mode.MISERE), threads=args.threads)
+            solver = ChainSolver(GameParams(a, d, Mode.MISERE))
             solvers[(a, d)] = solver
         report = solver.solve(n)
         result.record(
@@ -362,7 +349,7 @@ def _verify_normal_results(args) -> SuiteResult:
         with open(args.golden) as fh:
             cases = [
                 (a, d, n, o)
-                for a, d, n, m, o in golden.load_csv_rows(fh.read())
+                for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
                 if m is Mode.NORMAL and n <= max_n
             ]
     else:
@@ -371,7 +358,7 @@ def _verify_normal_results(args) -> SuiteResult:
     for a, d, n, expected in cases:
         solver = solvers.get((a, d))
         if solver is None:
-            solver = ChainSolver(GameParams(a, d), threads=args.threads)
+            solver = ChainSolver(GameParams(a, d))
             solvers[(a, d)] = solver
         report = solver.solve(n)
         result.record(
@@ -463,7 +450,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver = ChainSolver(params, threads=args.threads)
+    solver = ChainSolver(params)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         report = solver.solve(n)
@@ -512,11 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="monoseq",
         description="Exact solvers for monotonic sequence games",
     )
-    default_threads = int(os.environ.get("MONOSEQ_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=default_threads)
 
     solve = sub.add_parser("solve", help="solve one game instance")
     solve_sub = solve.add_subparsers(dest="target", required=True)
@@ -530,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--node-limit", type=int, default=10**9)
     chain.add_argument("--memo-limit", type=int, default=10**8)
     chain.add_argument("--json", action="store_true")
-    add_threads(chain)
     chain.set_defaults(func=_cmd_solve_chain)
 
     q = solve_sub.add_parser("q", help="play on a dense linear order")
@@ -580,7 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--full", action="store_true", help="run the full published ranges")
     verify.add_argument("--format", choices=["text", "csv", "json"], default="text")
     verify.add_argument("--golden", help="external golden CSV overriding shipped data")
-    add_threads(verify)
     verify.set_defaults(func=_cmd_verify)
 
     scan = sub.add_parser("scan", help="sweep deck sizes for one parameter pair")
@@ -590,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--n-from", type=int, required=True)
     scan.add_argument("--n-to", type=int, required=True)
     scan.add_argument("--format", choices=["text", "json"], default="text")
-    add_threads(scan)
     scan.set_defaults(func=_cmd_scan)
 
     slot = sub.add_parser("lemma-slot", help="find a safe insertion slot for a pattern")

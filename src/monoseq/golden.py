@@ -6,8 +6,9 @@ forms with the individually published values (4,4), (5,4), (6,4), (7,4)
 and (5,5).  A '?' marks deck sizes with no published value.
 
 The same data ships as CSV files (``monoseq/data``); verification prefers
-the files when they are readable so tables can be extended without code
-changes, and falls back to these embedded copies.
+the files so tables can be extended without code changes, and falls back
+to these embedded copies only when a file is missing.  A file that is
+present but does not parse is an error, never silently replaced.
 """
 
 from __future__ import annotations
@@ -94,20 +95,30 @@ def embedded_cases(mode: Mode, max_n: int = MAX_N) -> list[tuple[int, int, int, 
 _DATA_FILES = {Mode.MISERE: "misere_table.csv", Mode.NORMAL: "normal_results.csv"}
 
 
-def load_csv_rows(text: str) -> list[tuple[int, int, int, Mode, Outcome]]:
-    """Parse golden CSV with columns a,d,n,mode,outcome."""
+def load_csv_rows(
+    text: str, source: str = "<golden csv>"
+) -> list[tuple[int, int, int, Mode, Outcome]]:
+    """Parse golden CSV with columns a,d,n,mode,outcome.
+
+    A malformed row raises ValueError naming the source and line.
+    """
     rows = []
     reader = csv.DictReader(text.splitlines())
     for rec in reader:
-        rows.append(
-            (
-                int(rec["a"]),
-                int(rec["d"]),
-                int(rec["n"]),
-                Mode(rec["mode"]),
-                Outcome(rec["outcome"]),
+        try:
+            rows.append(
+                (
+                    int(rec["a"]),
+                    int(rec["d"]),
+                    int(rec["n"]),
+                    Mode(rec["mode"]),
+                    Outcome(rec["outcome"]),
+                )
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{source}, line {reader.line_num}: bad golden row {rec!r}"
+            ) from exc
     return rows
 
 
@@ -118,16 +129,23 @@ def dump_csv_rows(rows: Iterable[tuple[int, int, int, Mode, Outcome]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _data_file(mode: Mode):
+    return resources.files("monoseq").joinpath("data", _DATA_FILES[mode])
+
+
 def golden_cases(mode: Mode, max_n: int = MAX_N) -> list[tuple[int, int, int, Outcome]]:
-    """Golden cases for a mode, preferring the shipped CSV files."""
+    """Golden cases for a mode, preferring the shipped CSV files.
+
+    Falls back to the embedded rows only when the file is missing; a
+    corrupt file raises ValueError naming the file and line.
+    """
+    path = _data_file(mode)
     try:
-        text = (
-            resources.files("monoseq").joinpath("data", _DATA_FILES[mode]).read_text()
-        )
-        return [
-            (a, d, n, outcome)
-            for a, d, n, m, outcome in load_csv_rows(text)
-            if m is mode and n <= max_n
-        ]
-    except (FileNotFoundError, OSError, KeyError, ValueError):
+        text = path.read_text()
+    except OSError:
         return embedded_cases(mode, max_n)
+    return [
+        (a, d, n, outcome)
+        for a, d, n, m, outcome in load_csv_rows(text, str(path))
+        if m is mode and n <= max_n
+    ]

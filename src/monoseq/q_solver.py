@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bumping import (
+    _child_ids,
+    _wid,
+    _word_counts,
+    _word_text,
     bluish,
-    insert_purple,
     is_admissible,
-    pack_word,
     reddish,
     reverse_complement,
-    unpack_word,
 )
 from .errors import InvariantError
 from .order_core import GameParams, Mode, Outcome
@@ -52,14 +53,7 @@ def colour_children(word: str) -> tuple[str, ...]:
     """
     if not is_admissible(word):
         raise ValueError(f"word not admissible: {word!r}")
-    out: list[str] = []
-    seen: set[str] = set()
-    for pos in range(len(word) + 1):
-        child = insert_purple(word, pos)
-        if child not in seen:
-            seen.add(child)
-            out.append(child)
-    return tuple(out)
+    return tuple(_word_text[c] for c in _child_ids(_wid(word)))
 
 
 def is_terminal_q(word: str, params: GameParams) -> bool:
@@ -69,42 +63,13 @@ def is_terminal_q(word: str, params: GameParams) -> bool:
     return reddish(word) >= params.a or bluish(word) >= params.d
 
 
-# Children and letter counts cached on packed words, shared across solves.
-_CHILDREN: dict[int, tuple[int, ...]] = {}
-_COUNTS: dict[int, tuple[int, int]] = {}
-
-
-def _counts(packed: int) -> tuple[int, int]:
-    c = _COUNTS.get(packed)
-    if c is None:
-        word = unpack_word(packed)
-        c = (reddish(word), bluish(word))
-        _COUNTS[packed] = c
-    return c
-
-
-def _children(packed: int) -> tuple[int, ...]:
-    kids = _CHILDREN.get(packed)
-    if kids is None:
-        word = unpack_word(packed)
-        out: list[int] = []
-        seen: set[int] = set()
-        for pos in range(len(word) + 1):
-            child = pack_word(insert_purple(word, pos))
-            if child not in seen:
-                seen.add(child)
-                out.append(child)
-        kids = tuple(out)
-        _CHILDREN[packed] = kids
-    return kids
-
-
 _N, _P = 0, 1
 _OUT = (Outcome.N, Outcome.P)
+_EMPTY = _wid("")
 
 
 def _typed_ints(params: GameParams) -> dict[int, int]:
-    """Type every word reachable in play of (a, d, Q), keyed packed.
+    """Type every word reachable in play of (a, d, Q), keyed by word id.
 
     The reachable non-terminal graph must be acyclic and every play is
     bounded by (a-1)(d-1)+1 moves; both are asserted and violations raise
@@ -116,15 +81,15 @@ def _typed_ints(params: GameParams) -> dict[int, int]:
     types: dict[int, int] = {}
     on_stack: set[int] = set()
 
-    def visit(packed: int, depth: int) -> int:
-        t = types.get(packed)
+    def visit(wid: int, depth: int) -> int:
+        t = types.get(wid)
         if t is not None:
             return t
-        r, b = _counts(packed)
+        r, b = _word_counts[wid]
         if r >= a or b >= d:
-            types[packed] = terminal
+            types[wid] = terminal
             return terminal
-        if packed in on_stack:
+        if wid in on_stack:
             raise InvariantError(
                 "cycle among non-terminal colour words; this contradicts the "
                 "Erdos-Szekeres bound on play length"
@@ -133,18 +98,18 @@ def _typed_ints(params: GameParams) -> dict[int, int]:
             raise InvariantError(
                 f"search depth exceeded the play-length bound {depth_limit}"
             )
-        on_stack.add(packed)
+        on_stack.add(wid)
         has_p = False
-        for child in _children(packed):
+        for child in _child_ids(wid):
             if visit(child, depth + 1) == _P:
                 has_p = True
                 # No cutoff: type the full reachable graph.
-        on_stack.discard(packed)
+        on_stack.discard(wid)
         t = _N if has_p else _P
-        types[packed] = t
+        types[wid] = t
         return t
 
-    visit(pack_word(""), 0)
+    visit(_EMPTY, 0)
     return types
 
 
@@ -153,12 +118,12 @@ def solve_q(params: GameParams) -> Outcome:
 
     Never D: a dense order has no infinite antichain, so no draws exist.
     """
-    return _OUT[_typed_ints(params)[pack_word("")]]
+    return _OUT[_typed_ints(params)[_EMPTY]]
 
 
 def typed_reachable_graph(params: GameParams) -> dict[str, Outcome]:
     """Every word reachable in play, mapped to its outcome type."""
-    return {unpack_word(p): _OUT[t] for p, t in _typed_ints(params).items()}
+    return {_word_text[w]: _OUT[t] for w, t in _typed_ints(params).items()}
 
 
 def reachable_words(params: GameParams) -> tuple[str, ...]:
@@ -167,23 +132,22 @@ def reachable_words(params: GameParams) -> tuple[str, ...]:
     Non-terminal words are expanded; terminal words appear as leaves.
     """
     a, d = params.a, params.d
-    start = pack_word("")
-    seen = {start}
-    order = [start]
-    queue = [start]
+    seen = {_EMPTY}
+    order = [_EMPTY]
+    queue = [_EMPTY]
     while queue:
         nxt: list[int] = []
-        for packed in queue:
-            r, b = _counts(packed)
+        for wid in queue:
+            r, b = _word_counts[wid]
             if r >= a or b >= d:
                 continue
-            for child in _children(packed):
+            for child in _child_ids(wid):
                 if child not in seen:
                     seen.add(child)
                     order.append(child)
                     nxt.append(child)
         queue = nxt
-    return tuple(unpack_word(p) for p in order)
+    return tuple(_word_text[w] for w in order)
 
 
 def duality_check(a: int, d: int) -> bool:
@@ -311,27 +275,27 @@ def solve_q_forbidden(params: GameParams) -> Outcome:
     a, d = params.a, params.d
     memo: dict[int, int] = {}
 
-    def value(packed: int) -> int:
-        v = memo.get(packed)
+    def value(wid: int) -> int:
+        v = memo.get(wid)
         if v is not None:
             return v
-        r, b = _counts(packed)
+        r, b = _word_counts[wid]
         if r >= a - 1 or b >= d - 1:
             # The mover completes a critical sequence at once (insert at the
             # far end past everything reddish, or below everything bluish).
-            memo[packed] = _N
+            memo[wid] = _N
             return _N
         allowed = []
-        for child in _children(packed):
-            cr, cb = _counts(child)
+        for child in _child_ids(wid):
+            cr, cb = _word_counts[child]
             if cr < a - 1 and cb < d - 1:
                 allowed.append(child)
         if not allowed:
             # Forced to move suicidally; the opponent wins immediately.
-            memo[packed] = _P
+            memo[wid] = _P
             return _P
         t = _N if any(value(c) == _P for c in allowed) else _P
-        memo[packed] = t
+        memo[wid] = t
         return t
 
-    return _OUT[value(pack_word(""))]
+    return _OUT[value(_EMPTY)]

@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 
 from monoseq import (
+    GameParams,
     RecordingSequence,
     binary_encode,
     bluish,
@@ -18,8 +19,9 @@ from monoseq import (
     is_admissible,
     reddish,
     reverse_complement,
+    solve_q,
 )
-from monoseq.bumping import pack_word, unpack_word
+from monoseq.bumping import _transitions, _wid, _word_counts, _word_text
 
 from conftest import brute_lds, brute_lis
 
@@ -216,12 +218,60 @@ class TestInsertPurple:
         assert admissible <= reached
 
 
-class TestWordPacking:
-    def test_round_trip(self):
-        for k in range(0, 6):
-            for word in enumerate_admissible(k):
-                assert unpack_word(pack_word(word)) == word
+def reference_move(word, j):
+    """Letter-by-letter move operator: (child, rmerge, lmerge).
 
+    rmerge/lmerge are the list indices of the letters deleted on the right
+    and on the left (-1 when the letter is retinted instead or absent).
+    """
+    letters = list(word)
+    letters.insert(j, "P")
+    rmerge = -1
+    for t in range(j + 1, len(letters)):
+        ch = letters[t]
+        if ch != "B":
+            if ch == "R":
+                del letters[t]
+                rmerge = t
+            else:
+                letters[t] = "B"
+            break
+    lmerge = -1
+    for s in range(j - 1, -1, -1):
+        ch = letters[s]
+        if ch != "R":
+            if ch == "B":
+                del letters[s]
+                lmerge = s
+            else:
+                letters[s] = "R"
+            break
+    return "".join(letters), rmerge, lmerge
+
+
+class TestWordTable:
+    def test_matches_letter_loop_reference(self):
+        for k in range(0, 9):
+            for word in enumerate_admissible(k):
+                moves = _transitions(_wid(word))
+                assert [m[0] for m in moves] == list(range(k + 1))
+                for j, cid, cr, cb, rmerge, lmerge in moves:
+                    child, want_r, want_l = reference_move(word, j)
+                    assert _word_text[cid] == child
+                    assert _word_counts[cid] == (cr, cb) == (reddish(child), bluish(child))
+                    assert (rmerge, lmerge) == (want_r, want_l)
+                    assert insert_purple(word, j) == child
+
+    def test_interned_words_stay_admissible(self):
+        # The move operator is closed on admissible words, which is why
+        # interned children are never re-checked.
+        solve_q(GameParams(8, 5))
+        assert all(is_admissible(w) for w in _word_text)
+        for wid, word in enumerate(_word_text):
+            assert _word_counts[wid] == (reddish(word), bluish(word))
+
+
+class TestWordPacking:
     def test_reverse_complement(self):
         assert reverse_complement("RPB") == "RPB"
         assert reverse_complement("RRPBB") == "RRPBB"

@@ -211,14 +211,6 @@ class TestSolveChain:
                     winners.append(card)
             assert report.smallest_winning_move == min(winners)
 
-    def test_threads_match_sequential(self):
-        for mode in (Mode.NORMAL, Mode.MISERE):
-            for n in (6, 9):
-                seq = solve_chain(GameParams(4, 3, mode), n, threads=1)
-                par = solve_chain(GameParams(4, 3, mode), n, threads=4)
-                assert seq.outcome is par.outcome
-                assert seq.smallest_winning_move == par.smallest_winning_move
-
 
 class TestMemoSoundness:
     def test_equal_gapstates_share_brute_outcome(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from monoseq.cli import emit_table, parse_table_json, run
 from monoseq.order_core import Mode, Outcome
 
@@ -185,17 +187,6 @@ class TestScan:
         assert lines[0].startswith("n outcome")
         assert lines[4].split() == ["4", "N", "2"]
 
-    def test_threads_do_not_change_results(self, capsys):
-        base = invoke(
-            capsys, "scan", "--a", "4", "--d", "3", "--n-from", "1", "--n-to", "9"
-        )
-        threaded = invoke(
-            capsys,
-            "scan", "--a", "4", "--d", "3", "--n-from", "1", "--n-to", "9",
-            "--threads", "3",
-        )
-        assert base[1] == threaded[1]
-
 
 class TestLemmaSlot:
     def test_worked_example(self, capsys):
@@ -263,6 +254,20 @@ class TestGoldenData:
                 (a, d, n, mode, o) for a, d, n, o in embedded_cases(mode)
             )
             assert shipped == embedded, name
+
+    def test_corrupt_csv_raises(self, capsys, tmp_path, monkeypatch):
+        from monoseq import golden
+
+        corrupt = tmp_path / "misere_table.csv"
+        corrupt.write_text("a,d,n,mode,outcome\n3,3,1,misere,D\n3,3,2,misere,X\n")
+        monkeypatch.setattr(golden, "_data_file", lambda mode: corrupt)
+        with pytest.raises(ValueError, match=r"misere_table\.csv, line 3"):
+            golden.golden_cases(Mode.MISERE)
+        code, _, err = invoke(
+            capsys, "verify", "--suite", "misere-table", "--golden", str(corrupt)
+        )
+        assert code == 2
+        assert "line 3" in err
 
     def test_q_theorems_suite(self, capsys):
         code = run(["verify", "--suite", "q-theorems", "--max-a", "8"])
