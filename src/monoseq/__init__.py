@@ -28,7 +28,6 @@ from .chain_solver import (
     ChainSolver,
     CappedChainSolver,
     GapState,
-    LARGE,
     SolveReport,
     canonical_state,
     closed_form_d2,

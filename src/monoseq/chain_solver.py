@@ -8,6 +8,13 @@ a sound transposition key, and a move is just "split gap j into (l, r)"
 followed by the colour-level bump (which may retint letters or delete one
 on each side, merging adjacent gaps).
 
+Inside the search a GapState is one int: gap i fills bits [W*i, W*(i+1))
+and the interned word id sits above the a+d-1 gap fields a live word can
+have.  Merges only add adjacent fields, so the children of one gap are an
+arithmetic progression in l and each further child costs one integer add.
+Capped solving runs the same loop and only clamps each child gap to its
+large-gap threshold.
+
 Moves are enumerated in increasing card order and the only pruning is the
 usual cutoff once a P child proves the position N; the smallest winning
 first move therefore falls out of the root scan for free.
@@ -27,8 +34,10 @@ from .order_core import FiniteChain, GameParams, Mode, Outcome
 _N, _P, _D = 0, 1, 2
 _OUT = (Outcome.N, Outcome.P, Outcome.D)
 
-#: Sentinel gap value used by the capped solver for interchangeable large gaps.
-LARGE = -1
+#: Width in bits of one packed gap field in exact solving.
+GAP_BITS = 5
+#: Largest deck size exact solving accepts: every gap must fit its field.
+MAX_EXACT_N = (1 << GAP_BITS) - 1
 
 
 class GapState(NamedTuple):
@@ -105,6 +114,14 @@ def canonical_state(deck: FiniteChain, board) -> GapState:
 _EMPTY_WID = _wid("")
 
 
+def _merge_op(bits: int, i: int):
+    """(low mask, high shift, low shift) that adds gap field i+1 into field
+    i and moves the fields above it down by one; None for i = -1."""
+    if i < 0:
+        return None
+    return (1 << bits * (i + 1)) - 1, bits * (i + 1), bits * i
+
+
 class ChainSolver:
     """Shared-memo solver for fixed (a, d, mode) across deck sizes.
 
@@ -113,6 +130,9 @@ class ChainSolver:
     reuses the table.  Deterministic and single-threaded: outcomes, smallest
     winning moves and node counts repeat exactly run to run.
     """
+
+    #: Gap normalizer applied to every child state; None is the identity.
+    _clamp = None
 
     def __init__(
         self,
@@ -124,9 +144,14 @@ class ChainSolver:
         self.params = params
         self.node_limit = node_limit
         self.memo_limit = memo_limit
+        self._bits = self._gap_bits()
+        self._fmask = (1 << self._bits) - 1
+        # A live word has at most a+d-2 letters, hence at most a+d-1 gaps.
+        self._shift = self._bits * (params.a + params.d - 1)
         self._memo: dict = {}
+        self._rows: dict[int, tuple] = {}
         self._counter = [0]
-        self._value = self._make_value()
+        self._value, self._split = self._make_value()
 
     @property
     def nodes_expanded(self) -> int:
@@ -136,18 +161,84 @@ class ChainSolver:
     def memo_size(self) -> int:
         return len(self._memo)
 
-    def _make_value(self):
-        memo = self._memo
+    def _gap_bits(self) -> int:
+        return GAP_BITS
+
+    def _root_gap(self, n: int) -> int:
+        """Size of the one gap the root scan splits."""
+        if n > MAX_EXACT_N:
+            raise ValueError(
+                f"deck size {n} exceeds {MAX_EXACT_N}, the largest exact solving "
+                f"packs into {GAP_BITS}-bit gap fields; capped solving takes any n"
+            )
+        return n
+
+    def _clamp_data(self, cid: int, pl: int):
+        return None
+
+    def _word_rows(self, wid: int) -> tuple:
+        """(gap shift, critical, split data) for each gap of the word.
+
+        Split data turns the parent's gap fields into the l = 0 child and
+        steps l: the child of split l + 1 is that of l plus ``step``.
+        Critical gaps are left out in misere play, where they are never
+        played.
+        """
+        bits, shift = self._bits, self._shift
         a, d = self.params.a, self.params.d
         normal = self.params.mode is Mode.NORMAL
+        rows = []
+        for j, cid, cr, cb, rt, ls in _transitions(wid):
+            sj = bits * j
+            if cr >= a or cb >= d:
+                if normal:
+                    rows.append((sj, True, None))
+                continue
+            pl = j - (ls >= 0)  # the field holding l once merges are done
+            split = (
+                (1 << sj) - 1,
+                sj + bits,
+                sj + 2 * bits,
+                _merge_op(bits, rt),
+                _merge_op(bits, ls),
+                cid << shift,
+                -(self._fmask << bits * pl),
+                self._clamp_data(cid, pl),
+            )
+            rows.append((sj, False, split))
+        out = self._rows[wid] = tuple(rows)
+        return out
+
+    def _make_value(self):
+        memo = self._memo
+        word_rows = self._rows
+        build = self._word_rows
+        clamp = self._clamp
+        shift = self._shift
+        gmask = (1 << shift) - 1
+        fmask = self._fmask
         node_limit = self.node_limit
         memo_limit = self.memo_limit
-        transitions = _transitions
         counter = self._counter
 
-        def value(wid: int, gaps: tuple, m: int) -> int:
-            key = (wid, gaps)
-            v = memo.get(key)
+        def split(g: int, gj: int, data: tuple):
+            """Child states of splitting gap field j of g (holding gj cards),
+            in ascending card order."""
+            low, s1, s2, rmerge, lmerge, cid_hi, step, cdata = data
+            child = g & low | (gj - 1) << s1 | g >> s1 << s2
+            if rmerge is not None:
+                mask, hi, lo = rmerge
+                child = (child & mask) + (child >> hi << lo)
+            if lmerge is not None:
+                mask, hi, lo = lmerge
+                child = (child & mask) + (child >> hi << lo)
+            child += cid_hi
+            if clamp is None:
+                return range(child, child + gj * step, step)
+            return clamp(child, gj, cdata)
+
+        def value(state: int, m: int) -> int:
+            v = memo.get(state)
             if v is not None:
                 return v
             counter[0] += 1
@@ -155,35 +246,27 @@ class ChainSolver:
                 raise ResourceLimitError("node_limit", node_limit)
             if len(memo) > memo_limit:
                 raise ResourceLimitError("memo_limit", memo_limit)
+            wid = state >> shift
+            rows = word_rows.get(wid)
+            if rows is None:
+                rows = build(wid)
+            g = state & gmask
+            m1 = m - 1
             result = -1
             saw_draw = False
-            for j, cid, cr, cb, rt, ls in transitions(wid):
-                g = gaps[j]
-                if g == 0:
+            for sj, critical, data in rows:
+                gj = g >> sj & fmask
+                if not gj:
                     continue
-                if cr >= a or cb >= d:
+                if critical:
                     # Any card in this gap completes a critical sequence.
-                    if normal:
-                        result = _N
-                        break
-                    continue
+                    result = _N
+                    break
                 if m == 1:
                     saw_draw = True
                     continue
-                pre = gaps[:j]
-                post = gaps[j + 1 :]
-                for l in range(g):
-                    child = list(pre)
-                    child.append(l)
-                    child.append(g - 1 - l)
-                    child.extend(post)
-                    if rt >= 0:
-                        child[rt] += child[rt + 1]
-                        del child[rt + 1]
-                    if ls >= 0:
-                        child[ls] += child[ls + 1]
-                        del child[ls + 1]
-                    cv = value(cid, tuple(child), m - 1)
+                for child in split(g, gj, data):
+                    cv = value(child, m1)
                     if cv == _P:
                         result = _N
                         break
@@ -192,39 +275,47 @@ class ChainSolver:
                 if result >= 0:
                     break
             out = result if result >= 0 else (_D if saw_draw else _P)
-            memo[key] = out
+            memo[state] = out
             return out
 
-        return value
+        return value, split
 
     def solve(self, n: int) -> SolveReport:
         """Outcome of the empty board of (a, d, [n])."""
         if n < 0:
             raise ValueError("deck size must be nonnegative")
+        gap = self._root_gap(n)
         t0 = time.perf_counter()
         a, d = self.params.a, self.params.d
-        if n == 0 or n < min(a, d):
+        if n < min(a, d):
             # The deck is too small for any critical sequence to ever form.
             return SolveReport(Outcome.D, 0, None, time.perf_counter() - t0)
         start_nodes = self._counter[0]
-        outcome, swm = self._solve_root(n)
+        outcome, swm = self._solve_root(n, gap)
         return SolveReport(
             _OUT[outcome],
             self._counter[0] - start_nodes,
-            swm if outcome == _N else None,
+            swm,
             time.perf_counter() - t0,
         )
 
-    def _solve_root(self, n: int) -> tuple[int, Optional[int]]:
+    def _solve_root(self, n: int, gap: int) -> tuple[int, Optional[int]]:
+        """Scan the root's splits in ascending card order.
+
+        The root gap holds all n cards, or B(a, d) of them once capped
+        solving clamps it.  Split l is the card l+1 up to l = B(a, d-1)
+        and keeps gap-1-l cards above it beyond that, so it is the card
+        n-(gap-1-l); both agree when gap = n.
+        """
         value = self._value
-        ((_, pid, _, _, _, _),) = _transitions(_EMPTY_WID)
-        if n == 1:
-            return _D, None
+        rows = self._rows.get(_EMPTY_WID) or self._word_rows(_EMPTY_WID)
+        ((_, _, data),) = rows
+        lo = large_gap_bound(self.params.a, self.params.d - 1)
         saw_draw = False
-        for l in range(n):
-            cv = value(pid, (l, n - 1 - l), n - 1)
+        for l, child in enumerate(self._split(gap, gap, data)):
+            cv = value(child, n - 1)
             if cv == _P:
-                return _N, l + 1
+                return _N, (l + 1 if l <= lo else n - (gap - 1 - l))
             if cv == _D:
                 saw_draw = True
         return (_D if saw_draw else _P), None
@@ -292,18 +383,19 @@ def verify_shift_implication(params: GameParams, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Optional large-gap normalization ("capped" solver)
+# Capped solving: clamp every gap to its large-gap threshold
 #
-# A gap is large when it has at least B(a - r, d - b) cards, where r counts
-# the reddish letters before the gap and b the bluish letters after it;
-# large gaps are interchangeable, so they are replaced by a LARGE sentinel.
-# Moves from a LARGE gap produce the splits (s, LARGE) for s < B(x, y-1),
-# (LARGE, s) for s < B(x-1, y), and (LARGE, LARGE); merged gaps are LARGE
-# if either side was, otherwise the exact sum, re-thresholded.  The
+# A gap is large when it has at least B(x, y) cards, where x = a - r and
+# y = d - b for the r reddish letters before the gap and the b bluish
+# letters after it; large gaps are interchangeable.  The capped solver
+# clamps each child gap to its threshold, so a clamped state is a real
+# GapState whose large gaps hold exactly B(x, y) cards, and it runs the
+# exact solver's value loop and memo format.  Clamping the root gap to
+# B(a, d) makes every deck of at least B(a, d) cards the same root.  The
 # normalization is validated against the exact solver, not trusted.
 
-class CappedChainSolver:
-    """Chain solver over large-gap-normalized GapStates."""
+class CappedChainSolver(ChainSolver):
+    """Chain solver over threshold-clamped GapStates; takes any deck size."""
 
     def __init__(
         self,
@@ -312,175 +404,60 @@ class CappedChainSolver:
         node_limit: int = 10**9,
         memo_limit: int = 10**8,
     ):
-        self.params = params
-        self.node_limit = node_limit
-        self.memo_limit = memo_limit
-        self._memo: dict = {}
-        self._bounds_cache: dict[int, tuple] = {}
-        self._counter = [0]
+        self._bound = stabilization_bound(params.a, params.d)
+        self._bounds_cache: dict[int, tuple[int, ...]] = {}
+        super().__init__(params, node_limit=node_limit, memo_limit=memo_limit)
 
-    @property
-    def nodes_expanded(self) -> int:
-        return self._counter[0]
+    def _gap_bits(self) -> int:
+        # A clamped gap holds at most B(a, d) cards, and so does any merge
+        # of two adjacent ones.
+        return self._bound.bit_length()
 
-    def _gap_bounds(self, wid: int) -> tuple:
-        """Per-gap (large threshold, lower-split bound, upper-split bound)."""
+    def _root_gap(self, n: int) -> int:
+        return min(n, self._bound)
+
+    def _gap_bounds(self, wid: int) -> tuple[int, ...]:
+        """Large-gap threshold B(x, y) of each gap of a live word."""
         cached = self._bounds_cache.get(wid)
         if cached is not None:
             return cached
         word = _word_text[wid]
-        a, d = self.params.a, self.params.d
-        k = len(word)
-        red_before = [0] * (k + 1)
-        for i, ch in enumerate(word):
-            red_before[i + 1] = red_before[i] + (ch != "B")
-        blue_after = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            blue_after[i] = blue_after[i + 1] + (word[i] != "R")
-        bounds = []
-        for i in range(k + 1):
-            x = a - red_before[i]
-            y = d - blue_after[i]
-            if x >= 1 and y >= 1:
-                thr = large_gap_bound(x, y)
-                lo = large_gap_bound(x, y - 1) if y >= 2 else 0
-                hi = large_gap_bound(x - 1, y) if x >= 2 else 0
-            else:
-                # A live position never shows x or y below 1; playing such
-                # a gap would be critical and is handled before splitting.
-                thr, lo, hi = 1, 0, 0
-            bounds.append((thr, lo, hi))
-        out = tuple(bounds)
-        self._bounds_cache[wid] = out
+        x = self.params.a
+        y = self.params.d - (len(word) - word.count("R"))
+        bounds = [large_gap_bound(x, y)]
+        for ch in word:
+            # Left to right, a reddish letter joins those before the gap
+            # and a bluish one leaves those after it.
+            x -= ch != "B"
+            y += ch != "R"
+            bounds.append(large_gap_bound(x, y))
+        out = self._bounds_cache[wid] = tuple(bounds)
         return out
 
-    def _normalize(self, wid: int, gaps) -> tuple:
-        bounds = self._gap_bounds(wid)
-        return tuple(
-            LARGE if (g == LARGE or g >= bounds[i][0]) else g
-            for i, g in enumerate(gaps)
+    def _clamp_data(self, cid: int, pl: int) -> tuple:
+        bits = self._bits
+        bounds = self._gap_bounds(cid)
+        pr = pl + 1
+        others = tuple(
+            (bits * i, b) for i, b in enumerate(bounds) if i != pl and i != pr
         )
+        return others, bits * pl, bounds[pl], bits * pr, bounds[pr]
 
-    @staticmethod
-    def _merge(u: int, v: int) -> int:
-        if u == LARGE or v == LARGE:
-            return LARGE
-        return u + v
-
-    def _splits(self, wid: int, j: int, g: int):
-        """(l, r) splits of gap j, ordered by ascending card value."""
-        if g != LARGE:
-            for l in range(g):
-                yield l, g - 1 - l
-            return
-        _, lo, hi = self._gap_bounds(wid)[j]
-        for s in range(lo):
-            yield s, LARGE
-        yield LARGE, LARGE
-        for s in range(hi - 1, -1, -1):
-            yield LARGE, s
-
-    def _child(self, gaps: tuple, j: int, l: int, r: int, rt: int, ls: int, cid: int):
-        child = list(gaps[:j])
-        child.append(l)
-        child.append(r)
-        child.extend(gaps[j + 1 :])
-        if rt >= 0:
-            child[rt] = self._merge(child[rt], child[rt + 1])
-            del child[rt + 1]
-        if ls >= 0:
-            child[ls] = self._merge(child[ls], child[ls + 1])
-            del child[ls + 1]
-        return self._normalize(cid, child)
-
-    def _value(self, wid: int, gaps: tuple) -> int:
-        key = (wid, gaps)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        self._counter[0] += 1
-        if self._counter[0] > self.node_limit:
-            raise ResourceLimitError("node_limit", self.node_limit)
-        if len(self._memo) > self.memo_limit:
-            raise ResourceLimitError("memo_limit", self.memo_limit)
-        a, d = self.params.a, self.params.d
-        normal = self.params.mode is Mode.NORMAL
-        has_large = LARGE in gaps
-        remaining = 0 if has_large else sum(gaps)
-        last_card = not has_large and remaining == 1
-        result = -1
-        saw_draw = False
-        for j, cid, cr, cb, rt, ls in _transitions(wid):
-            g = gaps[j]
-            if g == 0:
-                continue
-            if cr >= a or cb >= d:
-                if normal:
-                    result = _N
-                    break
-                continue
-            if last_card:
-                saw_draw = True
-                continue
-            for l, r in self._splits(wid, j, g):
-                cv = self._value(cid, self._child(gaps, j, l, r, rt, ls, cid))
-                if cv == _P:
-                    result = _N
-                    break
-                if cv == _D:
-                    saw_draw = True
-            if result >= 0:
-                break
-        out = result if result >= 0 else (_D if saw_draw else _P)
-        self._memo[key] = out
-        return out
-
-    def solve(self, n: int) -> SolveReport:
-        if n < 0:
-            raise ValueError("deck size must be nonnegative")
-        t0 = time.perf_counter()
-        a, d = self.params.a, self.params.d
-        if n == 0 or n < min(a, d):
-            return SolveReport(Outcome.D, 0, None, time.perf_counter() - t0)
-        start = self._counter[0]
-        ((_, pid, _, _, _, _),) = _transitions(_EMPTY_WID)
-        saw_draw = False
-        outcome = -1
-        swm = None
-        if n < large_gap_bound(a, d):
-            for card in range(1, n + 1):
-                child = self._child((n,), 0, card - 1, n - card, -1, -1, pid)
-                cv = self._value(pid, child)
-                if cv == _P:
-                    outcome, swm = _N, card
-                    break
-                if cv == _D:
-                    saw_draw = True
-        else:
-            # Root classes in ascending-card order: a small lower part s is
-            # the card s+1, both-large starts at card B(a, d-1)+1, a small
-            # upper part s is the card n-s (scanned with s descending).
-            lo = large_gap_bound(a, d - 1)
-            hi = large_gap_bound(a - 1, d)
-            classes = [(s + 1, (s, LARGE)) for s in range(lo)]
-            classes.append((lo + 1, (LARGE, LARGE)))
-            classes.extend((n - s, (LARGE, s)) for s in range(hi - 1, -1, -1))
-            for card, (l, r) in classes:
-                cv = self._value(pid, self._child((LARGE,), 0, l, r, -1, -1, pid))
-                if cv == _P:
-                    outcome, swm = _N, card
-                    break
-                if cv == _D:
-                    saw_draw = True
-        if outcome < 0:
-            outcome = _D if saw_draw else _P
-            swm = None
-        return SolveReport(
-            _OUT[outcome],
-            self._counter[0] - start,
-            swm,
-            time.perf_counter() - t0,
-        )
+    def _clamp(self, child: int, gj: int, data: tuple) -> list[int]:
+        """Clamp the l = 0 child's fields; only fields l and r vary with l."""
+        others, sl, bl, sr, br = data
+        fmask = self._fmask
+        for si, b in others:
+            v = child >> si & fmask
+            if v > b:
+                child -= (v - b) << si
+        left = child >> sl & fmask
+        right = child >> sr & fmask
+        rest = child - (left << sl) - (right << sr)
+        return [
+            rest | min(left + l, bl) << sl | min(right - l, br) << sr
+            for l in range(gj)
+        ]
 
 
 def solve_chain_capped(
@@ -490,7 +467,7 @@ def solve_chain_capped(
     node_limit: int = 10**9,
     memo_limit: int = 10**8,
 ) -> SolveReport:
-    """Solve (a, d, [n]) over large-gap-normalized states.
+    """Solve (a, d, [n]) over threshold-clamped states.
 
     Outcomes are identical to solve_chain (cross-checked in the test
     suite); beyond the stabilization bound all deck sizes share one root

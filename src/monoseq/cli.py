@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import golden
@@ -21,7 +22,7 @@ from .bumping import (
     enumerate_admissible,
     reddish,
 )
-from .chain_solver import ChainSolver, SolveReport, solve_chain, solve_chain_capped
+from .chain_solver import CappedChainSolver, ChainSolver
 from .errors import ResourceLimitError
 from .extended_solver import insert_at, lds, lis, parity_outcome, safe_slot, solve_extended
 from .order_core import FinitePoset, GameParams, Mode, Outcome, solve_poset
@@ -155,25 +156,24 @@ def parse_table_json(text: str) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
-def _report_payload(a, d, n, mode, report: SolveReport) -> dict:
-    return {
-        "a": a,
-        "d": d,
-        "n": n,
-        "mode": mode.value,
-        "outcome": report.outcome.value,
-        "smallest_winning_move": report.smallest_winning_move,
-        "nodes_expanded": report.nodes_expanded,
-        "elapsed_s": round(report.elapsed, 6),
-    }
-
-
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solve = solve_chain_capped if args.capped else solve_chain
-    report = solve(params, args.n, node_limit=args.node_limit, memo_limit=args.memo_limit)
+    solver_class = CappedChainSolver if args.capped else ChainSolver
+    solver = solver_class(params, node_limit=args.node_limit, memo_limit=args.memo_limit)
+    report = solver.solve(args.n)
     if args.json:
-        print(json.dumps(_report_payload(args.a, args.d, args.n, params.mode, report)))
+        payload = {
+            "a": args.a,
+            "d": args.d,
+            "n": args.n,
+            "mode": params.mode.value,
+            "outcome": report.outcome.value,
+            "smallest_winning_move": report.smallest_winning_move,
+            "nodes_expanded": report.nodes_expanded,
+            "memo_entries": solver.memo_size,
+            "elapsed_s": round(report.elapsed, 6),
+        }
+        print(json.dumps(payload))
     else:
         print(report.outcome.value)
     return 0
@@ -317,52 +317,31 @@ def _cmd_certify(args) -> int:
     return 0 if verdict else 1
 
 
-def _verify_misere_table(args) -> SuiteResult:
+def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
+    """Exact chain outcomes against the golden table of one play mode."""
     max_n = args.max_n or (FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
-    result = SuiteResult("misere-table")
+    result = SuiteResult(suite)
     if args.golden:
         with open(args.golden) as fh:
             cases = [
                 (a, d, n, o)
                 for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
-                if m is Mode.MISERE and n <= max_n
+                if m is mode and n <= max_n
             ]
     else:
-        cases = golden.golden_cases(Mode.MISERE, max_n)
+        cases = golden.golden_cases(mode, max_n)
     solvers: dict[tuple[int, int], ChainSolver] = {}
     for a, d, n, expected in cases:
         solver = solvers.get((a, d))
         if solver is None:
-            solver = ChainSolver(GameParams(a, d, Mode.MISERE))
+            solver = ChainSolver(GameParams(a, d, mode))
             solvers[(a, d)] = solver
         report = solver.solve(n)
         result.record(
-            f"misere a={a} d={d} n={n}", expected.value, report.outcome.value, report.elapsed
-        )
-    return result
-
-
-def _verify_normal_results(args) -> SuiteResult:
-    max_n = args.max_n or (FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
-    result = SuiteResult("normal-results")
-    if args.golden:
-        with open(args.golden) as fh:
-            cases = [
-                (a, d, n, o)
-                for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
-                if m is Mode.NORMAL and n <= max_n
-            ]
-    else:
-        cases = golden.golden_cases(Mode.NORMAL, max_n)
-    solvers: dict[tuple[int, int], ChainSolver] = {}
-    for a, d, n, expected in cases:
-        solver = solvers.get((a, d))
-        if solver is None:
-            solver = ChainSolver(GameParams(a, d))
-            solvers[(a, d)] = solver
-        report = solver.solve(n)
-        result.record(
-            f"normal a={a} d={d} n={n}", expected.value, report.outcome.value, report.elapsed
+            f"{mode.value} a={a} d={d} n={n}",
+            expected.value,
+            report.outcome.value,
+            report.elapsed,
         )
     return result
 
@@ -424,8 +403,8 @@ def _verify_admissible_counts(args) -> SuiteResult:
 
 
 _SUITES = {
-    "misere-table": _verify_misere_table,
-    "normal-results": _verify_normal_results,
+    "misere-table": partial(_verify_chain_table, "misere-table", Mode.MISERE),
+    "normal-results": partial(_verify_chain_table, "normal-results", Mode.NORMAL),
     "q-theorems": _verify_q_theorems,
     "extended-parity": _verify_extended_parity,
     "admissible-counts": _verify_admissible_counts,
@@ -509,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--d", type=int, required=True)
     chain.add_argument("--n", type=int, required=True)
     chain.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    chain.add_argument("--capped", action="store_true", help="use large-gap normalization")
+    chain.add_argument("--capped", action="store_true", help="clamp gaps to their large-gap thresholds (any n)")
     chain.add_argument("--node-limit", type=int, default=10**9)
     chain.add_argument("--memo-limit", type=int, default=10**8)
     chain.add_argument("--json", action="store_true")

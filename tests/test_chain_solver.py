@@ -10,7 +10,6 @@ from monoseq import (
     FiniteChain,
     GameParams,
     GapState,
-    LARGE,
     Mode,
     Outcome,
     ResourceLimitError,
@@ -23,7 +22,7 @@ from monoseq import (
     stabilization_bound,
     verify_shift_implication,
 )
-from monoseq.chain_solver import CappedChainSolver, ChainSolver
+from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver
 
 from conftest import brute_board_outcome, brute_lds, brute_lis, random_legal_board
 
@@ -193,6 +192,21 @@ class TestSolveChain:
             solve_chain(GameParams(4, 4), 12, memo_limit=50)
         assert "memo_limit" in str(err.value)
 
+    def test_deck_size_limit(self):
+        # The largest deck whose gaps fit a packed field still solves; one
+        # more card is refused before any search instead of aliasing states.
+        for a, d, mode in [(2, 2, Mode.NORMAL), (3, 3, Mode.NORMAL), (3, 3, Mode.MISERE)]:
+            params = GameParams(a, d, mode)
+            fits = ChainSolver(params).solve(MAX_EXACT_N)
+            assert fits.outcome is CappedChainSolver(params).solve(MAX_EXACT_N).outcome
+            solver = ChainSolver(params)
+            with pytest.raises(ValueError, match=str(MAX_EXACT_N)):
+                solver.solve(MAX_EXACT_N + 1)
+            assert solver.nodes_expanded == solver.memo_size == 0
+        assert solve_chain(GameParams(2, 2), MAX_EXACT_N).outcome is closed_form_d2(2, MAX_EXACT_N)
+        beyond = CappedChainSolver(GameParams(2, 2)).solve(10 * MAX_EXACT_N)
+        assert beyond.outcome is closed_form_d2(2, 10 * MAX_EXACT_N)
+
     def test_smallest_winning_move_is_smallest(self, solvers):
         # Check against direct child evaluation for a few N positions.
         for a, d, n, mode in [
@@ -311,7 +325,7 @@ class TestCappedSolver:
             assert outcomes == {closed_form_d2(a, bound)}
 
     def test_large_root_key_single_state(self):
-        # At and beyond the bound the root normalizes to the single LARGE
+        # At and beyond the bound the root clamps to the single B-card
         # gap, so one more solve adds no new root work.
         a, d = 3, 3
         bound = stabilization_bound(a, d)
@@ -331,3 +345,24 @@ class TestCappedSolver:
                 c, e = capped.solve(n), exact.solve(n)
                 assert c.outcome is e.outcome
                 assert c.smallest_winning_move == e.smallest_winning_move, (a, d, mode, n)
+
+    def test_smallest_winning_move_beyond_bound(self):
+        # From the bound on the capped root is one clamped gap of B cards,
+        # and splits past B(a, d-1) stand for cards near the top of the deck.
+        cases = 0
+        for a in range(2, 11):
+            for d in range(2, 11):
+                bound = stabilization_bound(a, d)
+                if bound > 20:
+                    continue
+                for mode in (Mode.NORMAL, Mode.MISERE):
+                    capped = CappedChainSolver(GameParams(a, d, mode))
+                    exact = ChainSolver(GameParams(a, d, mode))
+                    for n in range(bound, 21):
+                        c, e = capped.solve(n), exact.solve(n)
+                        assert c.outcome is e.outcome, (a, d, mode, n)
+                        assert c.smallest_winning_move == e.smallest_winning_move, (
+                            a, d, mode, n,
+                        )
+                        cases += 1
+        assert cases == 352

@@ -34,6 +34,7 @@ class TestSolveCommands:
         assert payload["outcome"] == "N"
         assert payload["smallest_winning_move"] == 2
         assert payload["mode"] == "normal"
+        assert payload["memo_entries"] > 0
 
     def test_solve_chain_capped_agrees(self, capsys):
         code, out, _ = invoke(
@@ -41,6 +42,27 @@ class TestSolveCommands:
         )
         assert code == 0
         assert out.strip() == "N"
+        code, out, _ = invoke(
+            capsys, "solve", "chain", "--a", "3", "--d", "3", "--n", "9", "--capped", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == "N"
+        assert payload["memo_entries"] > 0
+
+    def test_solve_chain_deck_size_limit(self, capsys):
+        from monoseq.chain_solver import MAX_EXACT_N
+
+        base = ("solve", "chain", "--a", "2", "--d", "2", "--n")
+        code, out, _ = invoke(capsys, *base, str(MAX_EXACT_N))
+        assert code == 0
+        assert out.strip() == "P"
+        code, _, err = invoke(capsys, *base, str(MAX_EXACT_N + 1))
+        assert code == 2
+        assert str(MAX_EXACT_N) in err
+        code, out, _ = invoke(capsys, *base, str(MAX_EXACT_N + 1), "--capped")
+        assert code == 0
+        assert out.strip() == "P"
 
     def test_solve_q(self, capsys):
         code, out, _ = invoke(capsys, "solve", "q", "--a", "6", "--d", "3")
