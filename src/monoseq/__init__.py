@@ -79,6 +79,7 @@ from .q_solver import (
     QPosition,
     colour_children,
     duality_check,
+    exact_pset_transcript,
     is_terminal_q,
     p4_set,
     p5_set,
@@ -86,6 +87,7 @@ from .q_solver import (
     reachable_words,
     solve_q,
     solve_q_forbidden,
+    sufficient_pset_transcript,
     typed_reachable_graph,
     verify_exact_pset,
     verify_strategy_stealing_case,

@@ -108,18 +108,8 @@ def greedy_decreasing_decomposition(perm: Perm, cap: Optional[int] = None) -> De
     """Mirror of greedy_increasing_decomposition: decreasing parts, and
     without a binding cap the part count equals the longest increasing
     subsequence."""
-    parts: list[list[int]] = []
-    lasts: list[int] = []
-    for idx, v in enumerate(perm):
-        for p, last in enumerate(lasts):
-            if last > v and (cap is None or len(parts[p]) < cap):
-                parts[p].append(idx)
-                lasts[p] = v
-                break
-        else:
-            parts.append([idx])
-            lasts.append(v)
-    return Decomposition(tuple(tuple(p) for p in parts), "decreasing")
+    negated = greedy_increasing_decomposition(tuple(-v for v in perm), cap)
+    return Decomposition(negated.parts, "decreasing")
 
 
 def safe_slot(perm: Perm, r: int, s: int) -> Optional[tuple[int, int]]:

@@ -15,6 +15,7 @@ for the symmetric game.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bumping import (
     _child_ids,
@@ -192,32 +193,49 @@ def p5_set(a: int) -> set[str]:
     return out
 
 
-def verify_exact_pset(pset: set[str], params: GameParams) -> bool:
-    """Certify a set as exactly the non-terminal P-positions.
+def exact_pset_transcript(
+    pset: set[str], params: GameParams
+) -> Iterator[tuple[bool, str]]:
+    """Check a set as exactly the non-terminal P-positions, one
+    ``(ok, line)`` per non-terminal position reachable in play.
 
-    Over every position reachable in play: a non-terminal position outside
-    the set must have a child in the set or a terminal child, and a member
-    must have no such child.
+    A position outside the set must have a child in the set or a terminal
+    child (its witness), and a member must have no such child.
     """
     a, d = params.a, params.d
     for word in reachable_words(params):
         if reddish(word) >= a or bluish(word) >= d:
             continue
-        witness = any(
-            child in pset or reddish(child) >= a or bluish(child) >= d
-            for child in colour_children(word)
+        witness = next(
+            (c for c in colour_children(word) if c in pset or reddish(c) >= a or bluish(c) >= d),
+            None,
         )
-        if (word in pset) == witness:
-            return False
-    return True
+        label = word if word else "(empty)"
+        if word in pset:
+            if witness is None:
+                yield True, f"  member {label}: no member or terminal child ok"
+            else:
+                yield False, f"  member {label}: unexpected witness {witness} FAIL"
+        elif witness is None:
+            yield False, f"  {label}: no witness FAIL"
+        else:
+            yield True, f"  {label}: witness {witness} ok"
 
 
-def verify_sufficient_pset(pset: set[str], params: GameParams) -> bool:
-    """Certify a set as sufficient P-positions.
+def verify_exact_pset(pset: set[str], params: GameParams) -> bool:
+    """True iff every line of exact_pset_transcript is ok."""
+    return all(ok for ok, _ in exact_pset_transcript(pset, params))
 
-    Three conditions: the word P is in the set; for every member w and
-    every child v of w, v has a child that is terminal (an immediate win
-    for the mover) or in the set; and no member has a terminal child.
+
+def sufficient_pset_transcript(
+    pset: set[str], params: GameParams
+) -> Iterator[tuple[bool, str]]:
+    """Check a set as sufficient P-positions, one ``(ok, line)`` per
+    condition checked, members in sorted order.
+
+    Three conditions: the word P is in the set; no member has a terminal
+    child; and for every member w and every child v of w, v has a child
+    that is terminal (an immediate win for the mover) or in the set.
     """
     a, d = params.a, params.d
 
@@ -225,14 +243,25 @@ def verify_sufficient_pset(pset: set[str], params: GameParams) -> bool:
         return reddish(word) >= a or bluish(word) >= d
 
     if "P" not in pset:
-        return False
-    for w in pset:
-        if any(terminal(v) for v in colour_children(w)):
-            return False
-        for v in colour_children(w):
-            if not any(terminal(u) or u in pset for u in colour_children(v)):
-                return False
-    return True
+        yield False, "  P missing from the set FAIL"
+    for w in sorted(pset):
+        children = colour_children(w)
+        if any(terminal(v) for v in children):
+            yield False, f"  member {w}: has a terminal child FAIL"
+            continue
+        for v in children:
+            reply = next(
+                (u for u in colour_children(v) if terminal(u) or u in pset), None
+            )
+            if reply is None:
+                yield False, f"  member {w}: opponent {v} has no answer FAIL"
+            else:
+                yield True, f"  member {w}: opponent {v} answered by {reply} ok"
+
+
+def verify_sufficient_pset(pset: set[str], params: GameParams) -> bool:
+    """True iff every line of sufficient_pset_transcript is ok."""
+    return all(ok for ok, _ in sufficient_pset_transcript(pset, params))
 
 
 def verify_strategy_stealing_case(a: int) -> bool:

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from monoseq.cli import emit_table, parse_table_json, run
+from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
 from monoseq.order_core import Mode, Outcome
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -140,14 +147,18 @@ class TestEnumerate:
 
 class TestCertify:
     def test_p4_pass(self, capsys):
-        code, out, _ = invoke(capsys, "certify", "--pset", "p4", "--a", "6")
+        code, out, err = invoke(capsys, "certify", "--pset", "p4", "--a", "6")
         assert code == 0
         assert "VERIFIED" in out
+        assert "FAIL" not in out
+        assert err == ""
 
     def test_p5_pass(self, capsys):
-        code, out, _ = invoke(capsys, "certify", "--pset", "p5", "--a", "6")
+        code, out, err = invoke(capsys, "certify", "--pset", "p5", "--a", "6")
         assert code == 0
         assert "VERIFIED" in out
+        assert "FAIL" not in out
+        assert err == ""
 
 
 class TestVerify:
@@ -227,6 +238,21 @@ class TestLemmaSlot:
         assert "no safe slot" in out
 
 
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["monoseq", "monoseq.cli"])
+    def test_python_dash_m(self, capsys, module):
+        argv = ["solve", "chain", "--a", "3", "--d", "3", "--n", "6"]
+        code, expected, _ = invoke(capsys, *argv)
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert run([]) == 2
@@ -265,26 +291,31 @@ class TestEmitTable:
 
 
 class TestGoldenData:
-    def test_shipped_csv_matches_embedded_tables(self):
-        from importlib import resources
+    def test_csv_round_trip(self):
+        for mode in Mode:
+            rows = [(a, d, n, mode, o) for a, d, n, o in golden_cases(mode)]
+            assert load_csv_rows(dump_csv_rows(rows)) == rows, mode
 
-        from monoseq.golden import dump_csv_rows, embedded_cases
-
-        for mode, name in [(Mode.MISERE, "misere_table.csv"), (Mode.NORMAL, "normal_results.csv")]:
-            shipped = resources.files("monoseq").joinpath("data", name).read_text()
-            embedded = dump_csv_rows(
-                (a, d, n, mode, o) for a, d, n, o in embedded_cases(mode)
+    def test_verify_with_dumped_golden_file(self, capsys, tmp_path):
+        path = tmp_path / "golden.csv"
+        path.write_text(
+            dump_csv_rows(
+                (a, d, n, Mode.MISERE, o) for a, d, n, o in golden_cases(Mode.MISERE)
             )
-            assert shipped == embedded, name
+        )
+        code, out, _ = invoke(
+            capsys, "verify", "--suite", "misere-table", "--max-n", "6",
+            "--golden", str(path),
+        )
+        assert code == 0
+        assert "0 failed" in out
 
-    def test_corrupt_csv_raises(self, capsys, tmp_path, monkeypatch):
-        from monoseq import golden
-
+    def test_corrupt_csv_raises(self, capsys, tmp_path):
+        text = "a,d,n,mode,outcome\n3,3,1,misere,D\n3,3,2,misere,X\n"
+        with pytest.raises(ValueError, match=r"x\.csv, line 3"):
+            load_csv_rows(text, "x.csv")
         corrupt = tmp_path / "misere_table.csv"
-        corrupt.write_text("a,d,n,mode,outcome\n3,3,1,misere,D\n3,3,2,misere,X\n")
-        monkeypatch.setattr(golden, "_data_file", lambda mode: corrupt)
-        with pytest.raises(ValueError, match=r"misere_table\.csv, line 3"):
-            golden.golden_cases(Mode.MISERE)
+        corrupt.write_text(text)
         code, _, err = invoke(
             capsys, "verify", "--suite", "misere-table", "--golden", str(corrupt)
         )

@@ -10,6 +10,7 @@ from monoseq import (
     Outcome,
     colour_children,
     duality_check,
+    exact_pset_transcript,
     is_admissible,
     is_terminal_q,
     p4_set,
@@ -19,6 +20,7 @@ from monoseq import (
     reverse_complement,
     solve_q,
     solve_q_forbidden,
+    sufficient_pset_transcript,
     typed_reachable_graph,
     verify_exact_pset,
     verify_strategy_stealing_case,
@@ -162,10 +164,14 @@ class TestPSets:
     def test_exact_certificates(self):
         for a in range(4, 11):
             assert verify_exact_pset(p4_set(a), GameParams(a, 4)), a
+            lines = list(exact_pset_transcript(p4_set(a), GameParams(a, 4)))
+            assert lines and all(ok for ok, _ in lines), a
 
     def test_sufficient_certificates(self):
         for a in range(5, 11):
             assert verify_sufficient_pset(p5_set(a), GameParams(a, 5)), a
+            lines = list(sufficient_pset_transcript(p5_set(a), GameParams(a, 5)))
+            assert lines and all(ok for ok, _ in lines), a
 
     def test_p4_is_also_sufficient(self):
         for a in (4, 5, 6):
@@ -178,11 +184,15 @@ class TestPSets:
         base = p4_set(6)
         for member in base:
             assert not verify_exact_pset(base - {member}, GameParams(6, 4)), member
+            lines = exact_pset_transcript(base - {member}, GameParams(6, 4))
+            assert any(not ok and "FAIL" in line for ok, line in lines), member
 
     def test_sufficient_p5_mutations_fail(self):
         base = p5_set(6)
         for member in base:
             assert not verify_sufficient_pset(base - {member}, GameParams(6, 5)), member
+            lines = sufficient_pset_transcript(base - {member}, GameParams(6, 5))
+            assert any(not ok and "FAIL" in line for ok, line in lines), member
 
     def test_exact_checker_on_empty_set(self):
         # With d = 2 the non-terminal positions "" and P both have terminal
