@@ -174,7 +174,11 @@ def _cmd_solve_chain(args) -> int:
 def _cmd_solve_q(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
     t0 = time.perf_counter()
-    outcome = solve_q(params)
+    if args.dump_graph:
+        graph = typed_reachable_graph(params)
+        outcome = graph[""]
+    else:
+        outcome = solve_q(params)
     elapsed = time.perf_counter() - t0
     if args.json or args.dump_graph:
         payload = {
@@ -185,7 +189,6 @@ def _cmd_solve_q(args) -> int:
             "elapsed_s": round(elapsed, 6),
         }
         if args.dump_graph:
-            graph = typed_reachable_graph(params)
             payload["positions"] = {w: o.value for w, o in sorted(graph.items())}
         print(json.dumps(payload))
     else:
@@ -276,6 +279,10 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
                 for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
                 if m is mode and n <= max_n
             ]
+        if not cases:
+            raise ValueError(
+                f"{args.golden}: no {mode.value} rows with n <= {max_n}"
+            )
     else:
         cases = golden.golden_cases(mode, max_n)
     solvers: dict[tuple[int, int], ChainSolver] = {}

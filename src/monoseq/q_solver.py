@@ -6,6 +6,11 @@ every one of which is realizable by density.  A word is terminal once it
 carries ``a`` reddish or ``d`` bluish letters; in normal play the mover who
 produced it wins.
 
+``solve_q`` (and through it ``duality_check``) stops at the first winning
+move.  ``typed_reachable_graph`` types the full reachable graph, and so do
+``position_symmetry_holds`` and ``verify_strategy_stealing_case``, which
+read it.
+
 Besides the exact solver this module carries the P-position certificates
 for d = 4 and d = 5 and their checkers, a duality check between normal and
 misere play, and the computational side of the strategy-stealing argument
@@ -69,15 +74,24 @@ _OUT = (Outcome.N, Outcome.P)
 _EMPTY = _wid("")
 
 
-def _typed_ints(params: GameParams) -> dict[int, int]:
-    """Type every word reachable in play of (a, d, Q), keyed by word id.
+def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
+    """Type the words reachable in play of (a, d, Q), keyed by word id.
+
+    Without ``cutoff`` every reachable word is typed; this is the graph
+    behind ``typed_reachable_graph``.  With it (``solve_q`` only) a word
+    stops expanding at its first P child, and in normal play a word with
+    a-1 reddish or d-1 bluish letters is N unexpanded: inserting at the
+    right (left) end completes a critical sequence.  Every typed word is
+    exact either way, but the cutoff map holds only the words it visited.
 
     The reachable non-terminal graph must be acyclic and every play is
-    bounded by (a-1)(d-1)+1 moves; both are asserted and violations raise
-    rather than loop.
+    bounded by (a-1)(d-1)+1 moves; both are asserted on every expanded
+    word and violations raise rather than loop.
     """
     a, d = params.a, params.d
-    terminal = _N if params.mode is Mode.MISERE else _P
+    normal = params.mode is Mode.NORMAL
+    terminal = _P if normal else _N
+    near_a, near_d = (a - 1, d - 1) if cutoff and normal else (a, d)
     depth_limit = (a - 1) * (d - 1) + 1
     types: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -99,14 +113,17 @@ def _typed_ints(params: GameParams) -> dict[int, int]:
             raise InvariantError(
                 f"search depth exceeded the play-length bound {depth_limit}"
             )
+        if r >= near_a or b >= near_d:
+            types[wid] = _N
+            return _N
         on_stack.add(wid)
-        has_p = False
+        t = _P
         for child in _child_ids(wid):
             if visit(child, depth + 1) == _P:
-                has_p = True
-                # No cutoff: type the full reachable graph.
+                t = _N
+                if cutoff:
+                    break
         on_stack.discard(wid)
-        t = _N if has_p else _P
         types[wid] = t
         return t
 
@@ -117,9 +134,10 @@ def _typed_ints(params: GameParams) -> dict[int, int]:
 def solve_q(params: GameParams) -> Outcome:
     """Exact outcome of the empty board of (a, d, Q).
 
-    Never D: a dense order has no infinite antichain, so no draws exist.
+    Stops at the first winning move (see ``_typed_ints``).  Never D: a
+    dense order has no infinite antichain, so no draws exist.
     """
-    return _OUT[_typed_ints(params)[_EMPTY]]
+    return _OUT[_typed_ints(params, cutoff=True)[_EMPTY]]
 
 
 def typed_reachable_graph(params: GameParams) -> dict[str, Outcome]:

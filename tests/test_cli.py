@@ -82,9 +82,15 @@ class TestSolveCommands:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["outcome"] == "N"
-        assert payload["positions"][""] == "N"
+        assert payload["outcome"] == payload["positions"][""] == "N"
         assert payload["positions"]["P"] == "P"
+        code, out, _ = invoke(
+            capsys, "solve", "q", "--a", "4", "--d", "4", "--mode", "misere",
+            "--dump-graph",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == payload["positions"][""]
 
     def test_solve_extended(self, capsys):
         code, out, _ = invoke(capsys, "solve", "extended", "--a", "3", "--d", "3")
@@ -321,6 +327,21 @@ class TestGoldenData:
         )
         assert code == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a,d,n,mode,outcome\n3,3,1,normal,N\n3,3,2,normal,P\n"],
+        ids=["empty", "normal-only"],
+    )
+    def test_golden_without_mode_rows_raises(self, capsys, tmp_path, text):
+        path = tmp_path / "golden.csv"
+        path.write_text(text)
+        code, out, err = invoke(
+            capsys, "verify", "--suite", "misere-table", "--golden", str(path)
+        )
+        assert code == 2
+        assert "passed" not in out
+        assert str(path) in err and "misere" in err
 
     def test_q_theorems_suite(self, capsys):
         code = run(["verify", "--suite", "q-theorems", "--max-a", "8"])

@@ -26,6 +26,8 @@ from monoseq import (
     verify_strategy_stealing_case,
     verify_sufficient_pset,
 )
+from monoseq import q_solver
+from monoseq.errors import InvariantError
 from monoseq.q_solver import QPosition
 
 
@@ -110,6 +112,33 @@ class TestSolveQ:
             for d in range(2, 7):
                 solve_q(GameParams(a, d))
                 solve_q(GameParams(a, d, Mode.MISERE))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cutoff_equals_full_typing(self, mode):
+        # solve_q stops at the first winning move and, in normal play, at
+        # near-terminal words; the full typed graph is its referee.
+        for a in range(2, 9):
+            for d in range(2, 9):
+                params = GameParams(a, d, mode)
+                assert solve_q(params) is typed_reachable_graph(params)[""], params
+
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
+    def test_cycle_raises(self, monkeypatch, solve):
+        monkeypatch.setattr(q_solver, "_child_ids", lambda wid: (wid,))
+        with pytest.raises(InvariantError, match="cycle"):
+            solve(GameParams(4, 4))
+
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
+    def test_depth_overflow_raises(self, monkeypatch, solve):
+        # An endless path of fresh words that never gain a letter.
+        class NoLetters:
+            def __getitem__(self, wid):
+                return (0, 0)
+
+        monkeypatch.setattr(q_solver, "_word_counts", NoLetters())
+        monkeypatch.setattr(q_solver, "_child_ids", lambda wid: (wid + 1,))
+        with pytest.raises(InvariantError, match="play-length bound 10"):
+            solve(GameParams(4, 4))
 
     def test_misere_terminal_flip(self):
         # With a = d = 2 the first move hands over an immediate win in
