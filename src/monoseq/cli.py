@@ -285,12 +285,12 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
             )
     else:
         cases = golden.golden_cases(mode, max_n)
-    solvers: dict[tuple[int, int], ChainSolver] = {}
+    # Golden rows come grouped by (a, d), so one solver at a time is live;
+    # an interleaved --golden file only costs rebuilt tables.
+    solver = None
     for a, d, n, expected in cases:
-        solver = solvers.get((a, d))
-        if solver is None:
+        if solver is None or (solver.params.a, solver.params.d) != (a, d):
             solver = ChainSolver(GameParams(a, d, mode))
-            solvers[(a, d)] = solver
         report = solver.solve(n)
         result.record(
             f"{mode.value} a={a} d={d} n={n}",

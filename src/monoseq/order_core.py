@@ -145,6 +145,9 @@ class FinitePoset:
         try:
             elements = obj["elements"]
             pairs = [tuple(p) for p in obj.get("less_than", [])]
+            if not isinstance(elements, list):
+                raise TypeError(f"elements must be a list, not {elements!r}")
+            hash((tuple(elements), tuple(pairs)))  # elements must be hashable
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad poset document: {exc}") from exc
         return cls(elements, pairs)
@@ -181,15 +184,11 @@ class FinitePoset:
         )
 
     def longest_chain(self) -> int:
-        """Length (number of elements) of a longest chain."""
-        n = len(self._elements)
-        best = [0] * n
-        order = sorted(range(n), key=lambda i: sum(self._lt[j][i] for j in range(n)))
-        for i in order:
-            best[i] = 1 + max(
-                (best[j] for j in range(n) if self._lt[j][i]), default=0
-            )
-        return max(best, default=0)
+        """Length (number of elements) of a longest chain: the longest
+        ascending run of a linear extension (elements by count below)."""
+        below = [sum(column) for column in zip(*self._lt)]
+        extension = sorted(self._elements, key=lambda e: below[self._index[e]])
+        return _monotone_len(tuple(extension), self, True)
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self._elements)} elements)"
@@ -226,7 +225,8 @@ def involution_from_json(obj: Mapping) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Boards
+# Boards, read through chain labels: per played element, the lengths of the
+# longest ascending and descending board chains that end at it.
 
 def _check_board_elements(board: Sequence, deck) -> None:
     seen = set()
@@ -238,6 +238,42 @@ def _check_board_elements(board: Sequence, deck) -> None:
         seen.add(x)
 
 
+def _chain_labels(board: Sequence, asc, desc, e, less) -> tuple[int, int]:
+    """The (up, down) labels of e played after board, where asc[i] and
+    desc[i] label board[i].  A 0 label (an unplayed element) extends no
+    chain, and labels of a prefix of board label just that prefix."""
+    up = down = 0
+    for x, u, w in zip(board, asc, desc):
+        if u > up and less(x, e):
+            up = u
+        if w > down and less(e, x):
+            down = w
+    return up + 1, down + 1
+
+
+def _board_labels(board: tuple, deck) -> tuple[list, list]:
+    asc, desc = [], []
+    for e in board:
+        up, down = _chain_labels(board, asc, desc, e, deck.less)
+        asc.append(up)
+        desc.append(down)
+    return asc, desc
+
+
+def _witness(board: tuple, labels: list, less) -> tuple[int, tuple]:
+    # Read back from the earliest top label, each step taking the earliest
+    # smaller predecessor one label lower.
+    if not board:
+        return 0, ()
+    length = max(labels)
+    i = labels.index(length)
+    witness = [board[i]]
+    for label in range(length - 1, 0, -1):
+        i = next(j for j in range(i) if labels[j] == label and less(board[j], board[i]))
+        witness.append(board[i])
+    return length, tuple(reversed(witness))
+
+
 def longest_ascending(board: Sequence, deck) -> tuple[int, tuple]:
     """Longest ascending subsequence of the board, with one witness.
 
@@ -246,61 +282,41 @@ def longest_ascending(board: Sequence, deck) -> tuple[int, tuple]:
     """
     board = tuple(board)
     _check_board_elements(board, deck)
-    return _longest_monotone(board, deck, ascending=True)
+    return _witness(board, _board_labels(board, deck)[0], deck.less)
 
 
 def longest_descending(board: Sequence, deck) -> tuple[int, tuple]:
     """Dual of longest_ascending."""
     board = tuple(board)
     _check_board_elements(board, deck)
-    return _longest_monotone(board, deck, ascending=False)
-
-
-def _longest_monotone(board: tuple, deck, ascending: bool) -> tuple[int, tuple]:
-    m = len(board)
-    if m == 0:
-        return 0, ()
-    less = deck.less
-    length = [1] * m
-    prev = [-1] * m
-    for i in range(m):
-        for j in range(i):
-            ok = less(board[j], board[i]) if ascending else less(board[i], board[j])
-            if ok and length[j] + 1 > length[i]:
-                length[i] = length[j] + 1
-                prev[i] = j
-    best = max(range(m), key=lambda i: (length[i], -i))
-    witness = []
-    i = best
-    while i >= 0:
-        witness.append(board[i])
-        i = prev[i]
-    return length[best], tuple(reversed(witness))
+    return _witness(board, _board_labels(board, deck)[1], lambda x, y: deck.less(y, x))
 
 
 def _monotone_len(board: tuple, deck, ascending: bool) -> int:
-    m = len(board)
-    less = deck.less
-    length = [1] * m
-    best = 0
-    for i in range(m):
-        for j in range(i):
-            ok = less(board[j], board[i]) if ascending else less(board[i], board[j])
-            if ok and length[j] + 1 > length[i]:
-                length[i] = length[j] + 1
-        if length[i] > best:
-            best = length[i]
-    return best
+    return max(_board_labels(board, deck)[0 if ascending else 1], default=0)
 
 
-def _status_unchecked(board: tuple, deck, params: GameParams) -> BoardStatus:
-    if _monotone_len(board, deck, True) >= params.a:
+def _status(board: tuple, asc: list, desc: list, deck, params: GameParams) -> BoardStatus:
+    if max(asc, default=0) >= params.a:
         return BoardStatus.CRITICAL_ASCENDING
-    if _monotone_len(board, deck, False) >= params.d:
+    if max(desc, default=0) >= params.d:
         return BoardStatus.CRITICAL_DESCENDING
     if deck.size is not None and len(board) == deck.size:
         return BoardStatus.DECK_EXHAUSTED
     return BoardStatus.ONGOING
+
+
+def _status_unchecked(board: tuple, deck, params: GameParams) -> BoardStatus:
+    return _status(board, *_board_labels(board, deck), deck, params)
+
+
+def _validated_labels(board: tuple, deck, params: GameParams) -> tuple[list, list]:
+    _check_board_elements(board, deck)
+    asc, desc = _board_labels(board, deck)
+    for t, (up, down) in enumerate(zip(asc[:-1], desc[:-1]), 1):
+        if up >= params.a or down >= params.d:
+            raise ValueError(f"illegal board: proper prefix of length {t} is already critical")
+    return asc, desc
 
 
 def validate_board(board: Sequence, deck, params: GameParams) -> None:
@@ -309,14 +325,7 @@ def validate_board(board: Sequence, deck, params: GameParams) -> None:
     Legal boards have distinct in-deck elements and no proper prefix that
     already contains a critical sequence.
     """
-    board = tuple(board)
-    _check_board_elements(board, deck)
-    for t in range(1, len(board)):
-        status = _status_unchecked(board[:t], deck, params)
-        if status in (BoardStatus.CRITICAL_ASCENDING, BoardStatus.CRITICAL_DESCENDING):
-            raise ValueError(
-                f"illegal board: proper prefix of length {t} is already critical"
-            )
+    _validated_labels(tuple(board), deck, params)
 
 
 def board_status(board: Sequence, deck, params: GameParams) -> BoardStatus:
@@ -327,8 +336,7 @@ def board_status(board: Sequence, deck, params: GameParams) -> BoardStatus:
     either way; the convention keeps output deterministic).
     """
     board = tuple(board)
-    validate_board(board, deck, params)
-    return _status_unchecked(board, deck, params)
+    return _status(board, *_validated_labels(board, deck, params), deck, params)
 
 
 def no_draw_possible(deck, params: GameParams) -> bool:
@@ -349,10 +357,20 @@ def no_draw_possible(deck, params: GameParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact solver for small finite decks
+# Exact solver for small finite decks.  Both searches label the deck in
+# place: asc[i] and desc[i] stay 0 until element i is played.
 
 _N, _P, _D = 0, 1, 2
 _OUT = (Outcome.N, Outcome.P, Outcome.D)
+
+
+def _capped_size(deck, element_cap: int, name: str) -> int:
+    n = deck.size
+    if n is None:
+        raise ValueError(f"{name} needs a finite deck")
+    if n > element_cap:
+        raise ResourceLimitError("element_cap", element_cap, f"deck has {n} elements")
+    return n
 
 
 def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
@@ -361,93 +379,76 @@ def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
     Three-valued backward induction: a terminal critical board is P in
     normal play and N in misere play, an exhausted deck is D, and an inner
     board is N if some child is P, P if all children are N, otherwise D.
-    Memoized on the full board (no colour-sequence theory is assumed for
-    posets).  Works for FinitePoset and FiniteChain decks.
+    Memoized on the label key: per deck element, 0 while unplayed, else its
+    packed chain labels.  A move's legality and the labels it creates read
+    nothing else, so transposed boards share one entry.  Works for
+    FinitePoset and FiniteChain decks.
     """
-    n = deck.size
-    if n is None:
-        raise ValueError("solve_poset needs a finite deck")
-    if n > element_cap:
-        raise ResourceLimitError("element_cap", element_cap, f"deck has {n} elements")
+    n = _capped_size(deck, element_cap, "solve_poset")
     if n == 0:
         return Outcome.D
     terminal = _N if params.mode is Mode.MISERE else _P
     a, d = params.a, params.d
     elements = tuple(deck.elements)
     less = deck.less
+    asc, desc, key = [0] * n, [0] * n, [0] * n  # key[i] = asc[i] * d + desc[i]
     memo: dict[tuple, int] = {}
 
-    # asc[i] / desc[i] hold the longest chain ending at board position i,
-    # so each candidate move costs O(len(board)) instead of O(len^2).
-    def value(board: tuple, played: set, asc: tuple, desc: tuple) -> int:
-        cached = memo.get(board)
+    def value(played: int) -> int:
+        state = tuple(key)
+        cached = memo.get(state)
         if cached is not None:
             return cached
-        has_p = False
-        saw_d = False
-        for e in elements:
-            if e in played:
+        out = _P
+        for i, e in enumerate(elements):
+            if asc[i]:
                 continue
-            up = 1 + max(
-                (asc[j] for j, x in enumerate(board) if less(x, e)), default=0
-            )
-            down = 1 + max(
-                (desc[j] for j, x in enumerate(board) if less(e, x)), default=0
-            )
+            up, down = _chain_labels(elements, asc, desc, e, less)
             if up >= a or down >= d:
                 cv = terminal
-            elif len(board) + 1 == n:
+            elif played + 1 == n:
                 cv = _D
             else:
-                played.add(e)
-                cv = value(board + (e,), played, asc + (up,), desc + (down,))
-                played.discard(e)
+                asc[i], desc[i], key[i] = up, down, up * d + down
+                cv = value(played + 1)
+                asc[i] = desc[i] = key[i] = 0
             if cv == _P:
-                has_p = True
+                out = _N
                 break
             if cv == _D:
-                saw_d = True
-        out = _N if has_p else (_D if saw_d else _P)
-        memo[board] = out
+                out = _D
+        memo[state] = out
         return out
 
-    return _OUT[value((), set(), (), ())]
+    return _OUT[value(0)]
 
 
 def draw_reachable(deck, params: GameParams, *, element_cap: int = 10) -> bool:
     """True iff some complete play exhausts the deck without ever forming
     a critical sequence (i.e. the two players can cooperate to a draw)."""
-    n = deck.size
-    if n is None:
-        raise ValueError("draw_reachable needs a finite deck")
-    if n > element_cap:
-        raise ResourceLimitError("element_cap", element_cap, f"deck has {n} elements")
+    n = _capped_size(deck, element_cap, "draw_reachable")
     a, d = params.a, params.d
     elements = tuple(deck.elements)
     less = deck.less
+    asc, desc = [0] * n, [0] * n
 
-    def rec(board: tuple, played: set, asc: tuple, desc: tuple) -> bool:
-        if len(board) == n:
+    def rec(played: int) -> bool:
+        if played == n:
             return True
-        for e in elements:
-            if e in played:
+        for i, e in enumerate(elements):
+            if asc[i]:
                 continue
-            up = 1 + max(
-                (asc[j] for j, x in enumerate(board) if less(x, e)), default=0
-            )
-            down = 1 + max(
-                (desc[j] for j, x in enumerate(board) if less(e, x)), default=0
-            )
+            up, down = _chain_labels(elements, asc, desc, e, less)
             if up >= a or down >= d:
                 continue
-            played.add(e)
-            found = rec(board + (e,), played, asc + (up,), desc + (down,))
-            played.discard(e)
+            asc[i], desc[i] = up, down
+            found = rec(played + 1)
+            asc[i] = desc[i] = 0
             if found:
                 return True
         return False
 
-    return rec((), set(), (), ())
+    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +518,17 @@ def mirror_strategy(
         raise StrategyInapplicableError(
             "the mirror strategy is a second-player strategy; it cannot open the game"
         )
-    validate_board(board, deck, params)
+    asc, desc = _validated_labels(board, deck, params)
     if len(board) % 2 == 0:
         raise ValueError("not the second player's turn on this board")
-    if _status_unchecked(board, deck, params) is not BoardStatus.ONGOING:
+    if _status(board, asc, desc, deck, params) is not BoardStatus.ONGOING:
         raise ValueError("the game is already over on this board")
     played = set(board)
     for e in deck.elements:
         if e in played:
             continue
-        child = board + (e,)
-        if (
-            _monotone_len(child, deck, True) >= params.a
-            or _monotone_len(child, deck, False) >= params.d
-        ):
+        up, down = _chain_labels(board, asc, desc, e, deck.less)
+        if up >= params.a or down >= params.d:
             return e
     image = involution[board[-1]]
     if image in played:

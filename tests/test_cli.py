@@ -116,6 +116,26 @@ class TestSolveCommands:
         assert code == 0
         assert out.strip() == "N"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"elements": [[1], [2]]},
+            {"elements": 5},
+            {"elements": [1, 2], "less_than": [[1, [2]]]},
+        ],
+        ids=["unhashable-elements", "non-list-elements", "unhashable-pair-member"],
+    )
+    def test_solve_poset_malformed_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(
+            capsys,
+            "solve", "poset", "--file", str(path), "--a", "3", "--d", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad poset document")
+
     def test_resource_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys,

@@ -33,6 +33,53 @@ from monoseq import (
 from conftest import brute_lds, brute_lis
 
 
+def board_keyed_outcome(deck, params: GameParams) -> Outcome:
+    """Referee for solve_poset: backward induction memoized on the full board.
+
+    Labels are recomputed per move from the board alone, so no state
+    beyond the board sequence itself is trusted.
+    """
+    n = deck.size
+    if n == 0:
+        return Outcome.D
+    terminal = Outcome.N if params.mode is Mode.MISERE else Outcome.P
+    memo: dict[tuple, Outcome] = {}
+
+    def value(board: tuple, asc: tuple, desc: tuple) -> Outcome:
+        if board in memo:
+            return memo[board]
+        has_p = saw_d = False
+        for e in deck.elements:
+            if e in board:
+                continue
+            up = 1 + max((u for x, u in zip(board, asc) if deck.less(x, e)), default=0)
+            down = 1 + max((w for x, w in zip(board, desc) if deck.less(e, x)), default=0)
+            if up >= params.a or down >= params.d:
+                cv = terminal
+            elif len(board) + 1 == n:
+                cv = Outcome.D
+            else:
+                cv = value(board + (e,), asc + (up,), desc + (down,))
+            if cv is Outcome.P:
+                has_p = True
+                break
+            saw_d = saw_d or cv is Outcome.D
+        memo[board] = Outcome.N if has_p else (Outcome.D if saw_d else Outcome.P)
+        return memo[board]
+
+    return value((), (), ())
+
+
+def random_poset(rng, n: int) -> FinitePoset:
+    """A poset on n shuffled integers, each forward pair related with one
+    density drawn per poset."""
+    density = 0.5 + rng.random() * 0.5
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    elements = list(range(n))
+    rng.shuffle(elements)
+    return FinitePoset(elements, pairs)
+
+
 def two_chains(k: int) -> tuple[FinitePoset, dict]:
     """Two disjoint k-chains a1<...<ak, b1<...<bk with the swap involution."""
     elements = [f"a{i}" for i in range(1, k + 1)] + [f"b{i}" for i in range(1, k + 1)]
@@ -120,6 +167,21 @@ class TestMonotoneSubsequences:
             board = rng.sample(range(1, 11), m)
             assert longest_ascending(board, deck)[0] == brute_lis(board)
             assert longest_descending(board, deck)[0] == brute_lds(board)
+
+    def test_witness_ties_pick_earliest_end_and_predecessors(self):
+        # Three ascents (5 6 7, 3 6 7, 3 4 7) and six descents (5 3 1,
+        # 6 4 2, ...) of length 3 tie here.  The witness ends at the earliest
+        # element with the top length and steps back to the earliest
+        # possible predecessor each time.
+        board = [5, 3, 6, 4, 1, 7, 2]
+        assert longest_ascending(board, FiniteChain(7)) == (3, (5, 6, 7))
+        assert longest_descending(board, FiniteChain(7)) == (3, (5, 3, 1))
+
+    def test_witness_on_cube_board(self):
+        cube = boolean_lattice(3)
+        board = [(1,), (2,), (), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
+        assert longest_ascending(board, cube) == (4, ((), (3,), (1, 3), (1, 2, 3)))
+        assert longest_descending(board, cube) == (2, ((1,), ()))
 
     def test_element_outside_deck_rejected(self):
         with pytest.raises(ValueError):
@@ -235,10 +297,23 @@ class TestSolvePoset:
         for a in range(2, 5):
             for d in range(2, 5):
                 for mode in (Mode.NORMAL, Mode.MISERE):
-                    for n in range(0, 9):
+                    for n in range(0, 11):
                         expected = solvers.outcome(a, d, n, mode)
                         got = solve_poset(FiniteChain(n), GameParams(a, d, mode))
                         assert got is expected, (a, d, mode, n)
+
+    def test_matches_board_keyed_referee(self):
+        import random
+
+        rng = random.Random(11)
+        for _ in range(24):
+            poset = random_poset(rng, rng.randrange(5, 8))
+            for a in range(2, 5):
+                for d in range(2, 5):
+                    for mode in (Mode.NORMAL, Mode.MISERE):
+                        params = GameParams(a, d, mode)
+                        expected = board_keyed_outcome(poset, params)
+                        assert solve_poset(poset, params) is expected, (poset.elements, params)
 
 
 class TestDrawReachable:
