@@ -36,8 +36,8 @@ from conftest import brute_lds, brute_lis
 def board_keyed_outcome(deck, params: GameParams) -> Outcome:
     """Referee for solve_poset: backward induction memoized on the full board.
 
-    Labels are recomputed per move from the board alone, so no state
-    beyond the board sequence itself is trusted.
+    Keying on the board sequence itself assumes nothing about which
+    smaller state determines a position's value.
     """
     n = deck.size
     if n == 0:
