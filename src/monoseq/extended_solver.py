@@ -117,9 +117,12 @@ def safe_slot(perm: Perm, r: int, s: int) -> Optional[tuple[int, int]]:
     index-major with value ranks ascending; None when no slot is safe.
 
     Whenever the permutation has fewer than r*s points with LIS <= r and
-    LDS <= s, a safe slot is guaranteed to exist.
+    LDS <= s, a safe slot is guaranteed to exist.  Raises ValueError unless
+    ``perm`` is a permutation of 1..m.
     """
     m = len(perm)
+    if sorted(perm) != list(range(1, m + 1)):
+        raise ValueError(f"not a permutation of 1..{m}: {','.join(map(str, perm))}")
     for i in range(1, m + 2):
         for v in range(1, m + 2):
             child = insert_at(perm, i, v)
@@ -151,7 +154,22 @@ def _symmetry_variants(perm: Perm, symmetric: bool) -> Iterator[Perm]:
         yield tuple(m + 1 - v for v in perm)
 
 
+def _near_terminal(perm: Perm, a: int, d: int) -> bool:
+    return lis(perm) >= a - 1 or lds(perm) >= d - 1
+
+
 def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
+    """Type every expanded pattern reachable from the empty one.
+
+    A pattern with LIS >= a-1 or LDS >= d-1 is near-terminal: unless it is
+    already terminal, the mover adds a point at the far right above (or
+    below) every other point and completes a critical sequence, so it is N.
+    Near-terminal children are skipped as N without expansion and never
+    memoized.  Every expanded pattern has LIS <= a-2 and LDS <= d-2, so no
+    child of one is terminal.  Children are tried in sorted order and the
+    search stops at the first P child.  Returns the memo, keyed on the
+    least symmetry variant of each expanded pattern.
+    """
     if a < 2 or d < 2:
         raise ValueError("critical lengths must be at least 2")
     if (a - 1) * (d - 1) > size_cap:
@@ -168,16 +186,13 @@ def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
         v = memo.get(canon)
         if v is not None:
             return v
-        has_p = False
+        t = _P
         for child in extensions(perm):
-            if lis(child) >= a or lds(child) >= d:
-                # Terminal move: the mover wins outright.
-                has_p = True
-                break
+            if _near_terminal(child, a, d):
+                continue  # N, so never a winning move
             if value(child) == _P:
-                has_p = True
+                t = _N
                 break
-        t = _N if has_p else _P
         memo[canon] = t
         return t
 
@@ -188,8 +203,11 @@ def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
 def solve_extended(a: int, d: int, *, size_cap: int = 12) -> Outcome:
     """Exact outcome of the empty insert-anywhere position.
 
-    Refuses (a-1)(d-1) > size_cap (default 12): the pattern space beyond
-    length 13 is not desk scale.  Raise the cap explicitly to go further.
+    Near-terminal patterns (LIS >= a-1 or LDS >= d-1) are typed N without
+    expansion, so only patterns with LIS <= a-2 and LDS <= d-2 are searched
+    and memoized.  Refuses (a-1)(d-1) > size_cap (default 12): the memo has
+    no memory guard yet, and the cap stays until one lands.  Raise the cap
+    explicitly to go further.
     """
     types = _solve_extended_types(a, d, size_cap)
     return _OUT[types[()]]
@@ -199,21 +217,20 @@ def principal_variation(a: int, d: int, *, size_cap: int = 12) -> list[Perm]:
     """One optimal line from the empty position to a terminal pattern.
 
     The winner plays the first winning move in sorted order; the loser
-    plays the first non-suicidal move when one exists (a suicidal move
-    reaches a non-terminal pattern with a-1 increasing or d-1 decreasing
-    points), otherwise the first move.
+    plays the first move that is not suicidal when one exists (a suicidal
+    move reaches a near-terminal pattern, with a-1 increasing or d-1
+    decreasing points), otherwise the first move.
     """
     types = _solve_extended_types(a, d, size_cap)
     symmetric = a == d
 
     def typed(perm: Perm) -> int:
+        if _near_terminal(perm, a, d):
+            return _N  # never expanded, so never in the memo
         return types[min(_symmetry_variants(perm, symmetric))]
 
     def terminal(perm: Perm) -> bool:
         return lis(perm) >= a or lds(perm) >= d
-
-    def suicidal(child: Perm) -> bool:
-        return not terminal(child) and (lis(child) >= a - 1 or lds(child) >= d - 1)
 
     line = [()]
     current: Perm = ()
@@ -222,7 +239,7 @@ def principal_variation(a: int, d: int, *, size_cap: int = 12) -> list[Perm]:
         if typed(current) == _N:
             nxt = next(c for c in children if terminal(c) or typed(c) == _P)
         else:
-            safe = [c for c in children if not terminal(c) and not suicidal(c)]
+            safe = [c for c in children if not _near_terminal(c, a, d)]
             nxt = safe[0] if safe else children[0]
         line.append(nxt)
         current = nxt

@@ -425,27 +425,36 @@ def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
 
 def draw_reachable(deck, params: GameParams, *, element_cap: int = 10) -> bool:
     """True iff some complete play exhausts the deck without ever forming
-    a critical sequence (i.e. the two players can cooperate to a draw)."""
+    a critical sequence (i.e. the two players can cooperate to a draw).
+
+    Positions from which no such play exists are remembered by the label
+    key that solve_poset memoizes on, which is sound for the same reason.
+    """
     n = _capped_size(deck, element_cap, "draw_reachable")
     a, d = params.a, params.d
     elements = tuple(deck.elements)
     less = deck.less
-    asc, desc = [0] * n, [0] * n
+    asc, desc, key = [0] * n, [0] * n, [0] * n  # key[i] = asc[i] * d + desc[i]
+    dead: set[tuple] = set()
 
     def rec(played: int) -> bool:
         if played == n:
             return True
+        state = tuple(key)
+        if state in dead:
+            return False
         for i, e in enumerate(elements):
             if asc[i]:
                 continue
             up, down = _chain_labels(elements, asc, desc, e, less)
             if up >= a or down >= d:
                 continue
-            asc[i], desc[i] = up, down
+            asc[i], desc[i], key[i] = up, down, up * d + down
             found = rec(played + 1)
-            asc[i] = desc[i] = 0
+            asc[i] = desc[i] = key[i] = 0
             if found:
                 return True
+        dead.add(state)
         return False
 
     return rec(0)

@@ -263,6 +263,13 @@ class TestLemmaSlot:
         assert code == 0
         assert "no safe slot" in out
 
+    @pytest.mark.parametrize("perm", ["3,3", "5,9", "0,1"])
+    def test_non_permutation_rejected(self, capsys, perm):
+        code, out, err = invoke(capsys, "lemma-slot", "--perm", perm, "--r", "2", "--s", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and perm in err
+
 
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["monoseq", "monoseq.cli"])

@@ -21,6 +21,8 @@ from monoseq import (
     solve_extended,
 )
 
+from monoseq.extended_solver import _solve_extended_types, _symmetry_variants
+
 from conftest import brute_lds, brute_lis
 
 
@@ -166,9 +168,12 @@ class TestSolveExtended:
         with pytest.raises(ResourceLimitError):
             solve_extended(4, 4, size_cap=8)
 
-    @pytest.mark.full
     def test_four_four_is_previous_player(self):
         assert solve_extended(4, 4) is Outcome.P
+
+    @pytest.mark.parametrize("a,d", [(5, 5), (6, 4), (4, 6), (7, 3)])
+    def test_explicit_cap_beyond_default(self, a, d):
+        assert solve_extended(a, d, size_cap=(a - 1) * (d - 1)) is parity_outcome(a, d)
 
     def test_parity_outcome_values(self):
         assert parity_outcome(3, 3) is Outcome.N
@@ -186,6 +191,75 @@ class TestSolveExtended:
                 assert lis(perm) <= a - 2 and lds(perm) <= d - 2, (a, d, ply)
             final = line[-1]
             assert lis(final) >= a or lds(final) >= d
+
+
+def full_expansion_types(a: int, d: int) -> dict:
+    """Referee for the near-terminal cutoff: every reachable pattern is
+    expanded, and a terminal child counts as a winning move."""
+    symmetric = a == d
+    memo: dict = {}
+
+    def value(perm) -> int:
+        canon = min(_symmetry_variants(perm, symmetric))
+        if canon in memo:
+            return memo[canon]
+        has_p = False
+        for child in extensions(perm):
+            if lis(child) >= a or lds(child) >= d or value(child) == 1:
+                has_p = True
+                break
+        memo[canon] = 0 if has_p else 1  # 0 is N, 1 is P
+        return memo[canon]
+
+    value(())
+    return memo
+
+
+def full_expansion_line(a: int, d: int) -> list:
+    """principal_variation read off the full-expansion memo."""
+    types = full_expansion_types(a, d)
+    symmetric = a == d
+
+    def typed(perm) -> int:
+        return types[min(_symmetry_variants(perm, symmetric))]
+
+    def terminal(perm) -> bool:
+        return lis(perm) >= a or lds(perm) >= d
+
+    def suicidal(child) -> bool:
+        return not terminal(child) and (lis(child) >= a - 1 or lds(child) >= d - 1)
+
+    line = [()]
+    current = ()
+    while not terminal(current):
+        children = extensions(current)
+        if typed(current) == 0:
+            nxt = next(c for c in children if terminal(c) or typed(c) == 1)
+        else:
+            safe = [c for c in children if not terminal(c) and not suicidal(c)]
+            nxt = safe[0] if safe else children[0]
+        line.append(nxt)
+        current = nxt
+    return line
+
+
+REFEREE_PAIRS = [
+    (a, d) for a in range(2, 10) for d in range(2, 10) if (a - 1) * (d - 1) <= 8
+] + [(4, 5)]
+
+
+class TestNearTerminalCutoff:
+    @pytest.mark.parametrize("a,d", REFEREE_PAIRS)
+    def test_memo_is_full_expansion_without_near_terminal(self, a, d):
+        full = full_expansion_types(a, d)
+        expected = {
+            p: t for p, t in full.items() if lis(p) < a - 1 and lds(p) < d - 1
+        }
+        assert _solve_extended_types(a, d, 12) == expected
+
+    @pytest.mark.parametrize("a,d", REFEREE_PAIRS)
+    def test_principal_variation_matches_full_expansion(self, a, d):
+        assert principal_variation(a, d) == full_expansion_line(a, d)
 
 
 class TestGreedyAtLengthEight:

@@ -70,6 +70,27 @@ def board_keyed_outcome(deck, params: GameParams) -> Outcome:
     return value((), (), ())
 
 
+def memo_free_draw_reachable(deck, params: GameParams) -> bool:
+    """Referee for draw_reachable: the same depth-first search over boards,
+    remembering nothing between branches."""
+
+    def rec(board: tuple, asc: tuple, desc: tuple) -> bool:
+        if len(board) == deck.size:
+            return True
+        for e in deck.elements:
+            if e in board:
+                continue
+            up = 1 + max((u for x, u in zip(board, asc) if deck.less(x, e)), default=0)
+            down = 1 + max((w for x, w in zip(board, desc) if deck.less(e, x)), default=0)
+            if up < params.a and down < params.d and rec(
+                board + (e,), asc + (up,), desc + (down,)
+            ):
+                return True
+        return False
+
+    return rec((), (), ())
+
+
 def random_poset(rng, n: int) -> FinitePoset:
     """A poset on n shuffled integers, each forward pair related with one
     density drawn per poset."""
@@ -328,6 +349,28 @@ class TestDrawReachable:
                 for d in range(2, 5):
                     if no_draw_possible(FiniteChain(n), GameParams(a, d)):
                         assert not draw_reachable(FiniteChain(n), GameParams(a, d))
+
+    def test_chain_draws_exactly_up_to_erdos_szekeres(self):
+        for n in range(0, 11):
+            for a in range(2, 6):
+                for d in range(2, 6):
+                    expected = n <= (a - 1) * (d - 1)
+                    assert draw_reachable(FiniteChain(n), GameParams(a, d)) is expected, (n, a, d)
+
+    def test_matches_memo_free_referee(self):
+        import random
+
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(20):
+            poset = random_poset(rng, rng.randrange(4, 8))
+            for a in range(2, 5):
+                for d in range(2, 5):
+                    params = GameParams(a, d)
+                    expected = memo_free_draw_reachable(poset, params)
+                    assert draw_reachable(poset, params) is expected, (poset.elements, params)
+                    seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestValidateInvolution:
