@@ -34,7 +34,6 @@ from .chain_solver import (
     closed_form_d3,
     large_gap_bound,
     solve_chain,
-    solve_chain_capped,
     stabilization_bound,
     verify_shift_implication,
 )

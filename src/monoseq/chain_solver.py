@@ -29,10 +29,17 @@ from typing import NamedTuple, Optional
 
 from .bumping import _transitions, _wid, _word_text, double_bump
 from .errors import ResourceLimitError
-from .order_core import FiniteChain, GameParams, Mode, Outcome
-
-_N, _P, _D = 0, 1, 2
-_OUT = (Outcome.N, Outcome.P, Outcome.D)
+from .order_core import (
+    _D,
+    _N,
+    _OUT,
+    _P,
+    FiniteChain,
+    GameParams,
+    Mode,
+    Outcome,
+    _check_board_elements,
+)
 
 #: Width in bits of one packed gap field in exact solving.
 GAP_BITS = 5
@@ -94,13 +101,7 @@ def stabilization_bound(a: int, d: int) -> int:
 def canonical_state(deck: FiniteChain, board) -> GapState:
     """GapState of a board on a finite chain."""
     board = tuple(board)
-    seen = set()
-    for x in board:
-        if x not in deck:
-            raise ValueError(f"element {x!r} is not in the deck")
-        if x in seen:
-            raise ValueError(f"element {x!r} played twice")
-        seen.add(x)
+    _check_board_elements(board, deck)
     rec = double_bump(board)
     values = rec.values()
     unplayed = sorted(set(deck.elements) - set(board))
@@ -129,21 +130,19 @@ class ChainSolver:
     mention the deck size, so solving several n for the same parameters
     reuses the table.  Deterministic and single-threaded: outcomes, smallest
     winning moves and node counts repeat exactly run to run.
+
+    ``node_limit`` caps the states expanded over the solver's lifetime.
+    Each expanded state is memoized once and nothing else is, so after
+    every solve ``memo_size == nodes_expanded`` and the cap bounds the
+    memo too.
     """
 
     #: Gap normalizer applied to every child state; None is the identity.
     _clamp = None
 
-    def __init__(
-        self,
-        params: GameParams,
-        *,
-        node_limit: int = 10**9,
-        memo_limit: int = 10**8,
-    ):
+    def __init__(self, params: GameParams, *, node_limit: int = 10**8):
         self.params = params
         self.node_limit = node_limit
-        self.memo_limit = memo_limit
         self._bits = self._gap_bits()
         self._fmask = (1 << self._bits) - 1
         # A live word has at most a+d-2 letters, hence at most a+d-1 gaps.
@@ -169,7 +168,7 @@ class ChainSolver:
         if n > MAX_EXACT_N:
             raise ValueError(
                 f"deck size {n} exceeds {MAX_EXACT_N}, the largest exact solving "
-                f"packs into {GAP_BITS}-bit gap fields; capped solving takes any n"
+                f"packs into {GAP_BITS}-bit gap fields; CappedChainSolver takes any n"
             )
         return n
 
@@ -218,7 +217,6 @@ class ChainSolver:
         gmask = (1 << shift) - 1
         fmask = self._fmask
         node_limit = self.node_limit
-        memo_limit = self.memo_limit
         counter = self._counter
 
         def split(g: int, gj: int, data: tuple):
@@ -244,8 +242,6 @@ class ChainSolver:
             counter[0] += 1
             if counter[0] > node_limit:
                 raise ResourceLimitError("node_limit", node_limit)
-            if len(memo) > memo_limit:
-                raise ResourceLimitError("memo_limit", memo_limit)
             wid = state >> shift
             rows = word_rows.get(wid)
             if rows is None:
@@ -320,19 +316,10 @@ class ChainSolver:
                 saw_draw = True
         return (_D if saw_draw else _P), None
 
-    def outcome(self, n: int) -> Outcome:
-        return self.solve(n).outcome
 
-
-def solve_chain(
-    params: GameParams,
-    n: int,
-    *,
-    node_limit: int = 10**9,
-    memo_limit: int = 10**8,
-) -> SolveReport:
+def solve_chain(params: GameParams, n: int, *, node_limit: int = 10**8) -> SolveReport:
     """Solve (a, d, [n]) with a fresh transposition table."""
-    return ChainSolver(params, node_limit=node_limit, memo_limit=memo_limit).solve(n)
+    return ChainSolver(params, node_limit=node_limit).solve(n)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +384,10 @@ def verify_shift_implication(params: GameParams, n: int) -> bool:
 class CappedChainSolver(ChainSolver):
     """Chain solver over threshold-clamped GapStates; takes any deck size."""
 
-    def __init__(
-        self,
-        params: GameParams,
-        *,
-        node_limit: int = 10**9,
-        memo_limit: int = 10**8,
-    ):
+    def __init__(self, params: GameParams, *, node_limit: int = 10**8):
         self._bound = stabilization_bound(params.a, params.d)
         self._bounds_cache: dict[int, tuple[int, ...]] = {}
-        super().__init__(params, node_limit=node_limit, memo_limit=memo_limit)
+        super().__init__(params, node_limit=node_limit)
 
     def _gap_bits(self) -> int:
         # A clamped gap holds at most B(a, d) cards, and so does any merge
@@ -459,20 +440,3 @@ class CappedChainSolver(ChainSolver):
             for l in range(gj)
         ]
 
-
-def solve_chain_capped(
-    params: GameParams,
-    n: int,
-    *,
-    node_limit: int = 10**9,
-    memo_limit: int = 10**8,
-) -> SolveReport:
-    """Solve (a, d, [n]) over threshold-clamped states.
-
-    Outcomes are identical to solve_chain (cross-checked in the test
-    suite); beyond the stabilization bound all deck sizes share one root
-    state, which is what makes the eventual constancy concrete.
-    """
-    return CappedChainSolver(
-        params, node_limit=node_limit, memo_limit=memo_limit
-    ).solve(n)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import golden
 from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
-from .chain_solver import CappedChainSolver, ChainSolver
+from .chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver, stabilization_bound
 from .errors import ResourceLimitError
 from .extended_solver import insert_at, lds, lis, parity_outcome, safe_slot, solve_extended
 from .order_core import FinitePoset, GameParams, Mode, Outcome, solve_poset
@@ -148,10 +148,19 @@ def parse_table_json(text: str) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
+def _chain_solver_class(params: GameParams, n: int) -> type[ChainSolver]:
+    """Clamped search from the stabilization bound on, where every deck
+    shares one root, and past the exact search's deck limit; exact search
+    below the bound, where it is often the faster.  Both give the same
+    outcome and smallest winning move."""
+    if n >= stabilization_bound(params.a, params.d) or n > MAX_EXACT_N:
+        return CappedChainSolver
+    return ChainSolver
+
+
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver_class = CappedChainSolver if args.capped else ChainSolver
-    solver = solver_class(params, node_limit=args.node_limit, memo_limit=args.memo_limit)
+    solver = _chain_solver_class(params, args.n)(params, node_limit=args.node_limit)
     report = solver.solve(args.n)
     if args.json:
         payload = {
@@ -270,7 +279,11 @@ def _cmd_certify(args) -> int:
 
 def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
     """Exact chain outcomes against the golden table of one play mode."""
-    max_n = args.max_n or (FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
+    max_n = args.max_n
+    if max_n is None:
+        max_n = FULL_CHAIN_N if args.full else QUICK_CHAIN_N
+    elif max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {max_n}")
     result = SuiteResult(suite)
     if args.golden:
         with open(args.golden) as fh:
@@ -302,7 +315,11 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
 
 
 def _verify_q_theorems(args) -> SuiteResult:
-    max_a = args.max_a or (FULL_Q_A if args.full else QUICK_Q_A)
+    max_a = args.max_a
+    if max_a is None:
+        max_a = FULL_Q_A if args.full else QUICK_Q_A
+    elif max_a < 2:
+        raise ValueError(f"--max-a must be at least 2, got {max_a}")
     result = SuiteResult("q-theorems")
 
     def run(a: int, d: int, expected: Outcome) -> None:
@@ -384,10 +401,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver = ChainSolver(params)
+    solvers = {cls: cls(params) for cls in (ChainSolver, CappedChainSolver)}
     rows = []
     for n in range(args.n_from, args.n_to + 1):
-        report = solver.solve(n)
+        report = solvers[_chain_solver_class(params, n)].solve(n)
         rows.append((n, report.outcome, report.smallest_winning_move))
     if args.format == "json":
         print(
@@ -443,9 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--d", type=int, required=True)
     chain.add_argument("--n", type=int, required=True)
     chain.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    chain.add_argument("--capped", action="store_true", help="clamp gaps to their large-gap thresholds (any n)")
-    chain.add_argument("--node-limit", type=int, default=10**9)
-    chain.add_argument("--memo-limit", type=int, default=10**8)
+    chain.add_argument("--node-limit", type=int, default=10**8)
     chain.add_argument("--json", action="store_true")
     chain.set_defaults(func=_cmd_solve_chain)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import ResourceLimitError
-from .order_core import Outcome
+from .order_core import _N, _OUT, _P, Outcome
 
 Perm = tuple[int, ...]
 
@@ -136,10 +136,6 @@ def parity_outcome(a: int, d: int) -> Outcome:
     if a < 2 or d < 2:
         raise ValueError("critical lengths must be at least 2")
     return Outcome.N if (a * d) % 2 == 1 else Outcome.P
-
-
-_N, _P = 0, 1
-_OUT = (Outcome.N, Outcome.P)
 
 
 def _symmetry_variants(perm: Perm, symmetric: bool) -> Iterator[Perm]:

@@ -34,6 +34,11 @@ class Outcome(enum.Enum):
         return self.value
 
 
+# The solvers' int encoding of outcomes: _OUT[code] is the Outcome.
+_N, _P, _D = 0, 1, 2
+_OUT = (Outcome.N, Outcome.P, Outcome.D)
+
+
 class BoardStatus(enum.Enum):
     ONGOING = "ongoing"
     CRITICAL_ASCENDING = "critical_ascending"
@@ -359,9 +364,6 @@ def no_draw_possible(deck, params: GameParams) -> bool:
 # ---------------------------------------------------------------------------
 # Exact solver for small finite decks.  Both searches label the deck in
 # place: asc[i] and desc[i] stay 0 until element i is played.
-
-_N, _P, _D = 0, 1, 2
-_OUT = (Outcome.N, Outcome.P, Outcome.D)
 
 
 def _capped_size(deck, element_cap: int, name: str) -> int:

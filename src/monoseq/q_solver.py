@@ -33,7 +33,7 @@ from .bumping import (
     reverse_complement,
 )
 from .errors import InvariantError
-from .order_core import GameParams, Mode, Outcome
+from .order_core import _N, _OUT, _P, GameParams, Mode, Outcome
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,6 @@ def is_terminal_q(word: str, params: GameParams) -> bool:
     return reddish(word) >= params.a or bluish(word) >= params.d
 
 
-_N, _P = 0, 1
-_OUT = (Outcome.N, Outcome.P)
 _EMPTY = _wid("")
 
 

@@ -48,8 +48,10 @@ class TestCanonicalState:
         assert state == GapState("RPBP", (0, 0, 1, 0, 0))
 
     def test_rejects_foreign_cards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the deck"):
             canonical_state(FiniteChain(4), [1, 7])
+        with pytest.raises(ValueError, match="played twice"):
+            canonical_state(FiniteChain(4), [1, 1])
 
     def test_matches_gap_transition_machinery(self):
         # Evolving the solver's (word, gaps) transitions card by card must
@@ -187,10 +189,16 @@ class TestSolveChain:
             solve_chain(GameParams(4, 4), 12, node_limit=50)
         assert "node_limit" in str(err.value)
 
-    def test_memo_limit_enforced(self):
-        with pytest.raises(ResourceLimitError) as err:
-            solve_chain(GameParams(4, 4), 12, memo_limit=50)
-        assert "memo_limit" in str(err.value)
+    @pytest.mark.parametrize("solver_class", [ChainSolver, CappedChainSolver])
+    def test_memo_holds_each_expanded_state_once(self, solver_class):
+        # What keeps node_limit the only cap: the memo never outgrows the
+        # node count, across solves sharing one memo.
+        for a, d in [(3, 3), (4, 3), (3, 5)]:
+            for mode in (Mode.NORMAL, Mode.MISERE):
+                solver = solver_class(GameParams(a, d, mode))
+                for n in range(1, 21):
+                    solver.solve(n)
+                    assert solver.nodes_expanded == solver.memo_size, (a, d, mode, n)
 
     def test_deck_size_limit(self):
         # The largest deck whose gaps fit a packed field still solves; one

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver, stabilization_bound
 from monoseq.cli import emit_table, parse_table_json, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
-from monoseq.order_core import Mode, Outcome
+from monoseq.order_core import GameParams, Mode, Outcome
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,32 +45,54 @@ class TestSolveCommands:
         assert payload["memo_entries"] > 0
 
     def test_solve_chain_capped_agrees(self, capsys):
-        code, out, _ = invoke(
-            capsys, "solve", "chain", "--a", "3", "--d", "3", "--n", "9", "--capped"
-        )
-        assert code == 0
-        assert out.strip() == "N"
-        code, out, _ = invoke(
-            capsys, "solve", "chain", "--a", "3", "--d", "3", "--n", "9", "--capped", "--json"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["outcome"] == "N"
-        assert payload["memo_entries"] > 0
+        # B(3, 3) = 11: the exact search runs below it, the clamped one from
+        # it on, and the JSON counts are those of the search that ran.
+        params = GameParams(3, 3)
+        base = ("solve", "chain", "--a", "3", "--d", "3", "--n")
+        for n, solver_class in [(9, ChainSolver), (11, CappedChainSolver), (40, CappedChainSolver)]:
+            solver = solver_class(params)
+            report = solver.solve(n)
+            code, out, _ = invoke(capsys, *base, str(n))
+            assert code == 0
+            assert out.strip() == report.outcome.value == "N"
+            code, out, _ = invoke(capsys, *base, str(n), "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["smallest_winning_move"] == report.smallest_winning_move
+            assert payload["nodes_expanded"] == report.nodes_expanded
+            assert payload["memo_entries"] == solver.memo_size, n
 
     def test_solve_chain_deck_size_limit(self, capsys):
-        from monoseq.chain_solver import MAX_EXACT_N
-
+        # Past the exact search's deck limit the clamped search runs, also
+        # below the bound: B(2, 2) = 3, B(4, 4) = 39.
         base = ("solve", "chain", "--a", "2", "--d", "2", "--n")
-        code, out, _ = invoke(capsys, *base, str(MAX_EXACT_N))
+        for n in (MAX_EXACT_N, MAX_EXACT_N + 1):
+            code, out, _ = invoke(capsys, *base, str(n))
+            assert code == 0
+            assert out.strip() == "P"
+        n = MAX_EXACT_N + 1
+        solver = CappedChainSolver(GameParams(4, 4))
+        report = solver.solve(n)
+        code, out, _ = invoke(capsys, "solve", "chain", "--a", "4", "--d", "4", "--n", str(n), "--json")
         assert code == 0
-        assert out.strip() == "P"
-        code, _, err = invoke(capsys, *base, str(MAX_EXACT_N + 1))
-        assert code == 2
-        assert str(MAX_EXACT_N) in err
-        code, out, _ = invoke(capsys, *base, str(MAX_EXACT_N + 1), "--capped")
-        assert code == 0
-        assert out.strip() == "P"
+        payload = json.loads(out)
+        assert payload["outcome"] == report.outcome.value
+        assert payload["memo_entries"] == solver.memo_size
+
+    @pytest.mark.parametrize("mode", ["normal", "misere"])
+    @pytest.mark.parametrize("a,d", [(3, 4), (4, 3), (5, 3), (3, 5)])
+    def test_solve_chain_from_bound_matches_exact(self, capsys, solvers, a, d, mode):
+        exact = solvers.exact(a, d, Mode(mode))
+        for n in range(stabilization_bound(a, d), MAX_EXACT_N + 1):
+            report = exact.solve(n)
+            code, out, _ = invoke(
+                capsys, "solve", "chain", "--a", str(a), "--d", str(d), "--n", str(n),
+                "--mode", mode, "--json",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["outcome"] == report.outcome.value, n
+            assert payload["smallest_winning_move"] == report.smallest_winning_move, n
 
     def test_solve_q(self, capsys):
         code, out, _ = invoke(capsys, "solve", "q", "--a", "6", "--d", "3")
@@ -223,6 +246,22 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["failed"] == 0
         assert len(payload["cases"]) == 6
+
+    @pytest.mark.parametrize(
+        "suite,flag,value",
+        [
+            ("misere-table", "--max-n", "0"),
+            ("misere-table", "--max-n", "-1"),
+            ("normal-results", "--max-n", "0"),
+            ("q-theorems", "--max-a", "1"),
+            ("q-theorems", "--max-a", "0"),
+        ],
+    )
+    def test_degenerate_range_rejected(self, capsys, suite, flag, value):
+        code, out, err = invoke(capsys, "verify", "--suite", suite, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
 
     def test_golden_mismatch_exit_code(self, capsys, tmp_path):
         bogus = tmp_path / "golden.csv"
