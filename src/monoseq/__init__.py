@@ -4,7 +4,7 @@ Two players alternately move elements of a partially ordered deck onto a
 board; the game ends once the board carries an ascending subsequence of
 length ``a`` or a descending one of length ``d``.  This package classifies
 positions as N / P / D (next wins, previous wins, drawn) exactly, for play
-on finite chains, on small finite posets, and on dense linear orders, plus
+on finite chains, on finite posets, and on dense linear orders, plus
 the insert-anywhere extension, together with the published regression
 tables, certificates and counting results for all of them.
 """

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .bumping import _transitions, _wid, _word_text, double_bump
-from .errors import ResourceLimitError
+from .errors import CHECK_EVERY, check_memory
 from .order_core import (
     _D,
     _N,
@@ -129,20 +129,16 @@ class ChainSolver:
     The transposition table is keyed on exact GapStates, which do not
     mention the deck size, so solving several n for the same parameters
     reuses the table.  Deterministic and single-threaded: outcomes, smallest
-    winning moves and node counts repeat exactly run to run.
-
-    ``node_limit`` caps the states expanded over the solver's lifetime.
-    Each expanded state is memoized once and nothing else is, so after
-    every solve ``memo_size == nodes_expanded`` and the cap bounds the
-    memo too.
+    winning moves and node counts repeat exactly run to run.  Each expanded
+    state is memoized once and nothing else is, so after every solve
+    ``memo_size == nodes_expanded``; memory is checked as the memo grows.
     """
 
     #: Gap normalizer applied to every child state; None is the identity.
     _clamp = None
 
-    def __init__(self, params: GameParams, *, node_limit: int = 10**8):
+    def __init__(self, params: GameParams):
         self.params = params
-        self.node_limit = node_limit
         self._bits = self._gap_bits()
         self._fmask = (1 << self._bits) - 1
         # A live word has at most a+d-2 letters, hence at most a+d-1 gaps.
@@ -216,8 +212,8 @@ class ChainSolver:
         shift = self._shift
         gmask = (1 << shift) - 1
         fmask = self._fmask
-        node_limit = self.node_limit
         counter = self._counter
+        next_check = 1
 
         def split(g: int, gj: int, data: tuple):
             """Child states of splitting gap field j of g (holding gj cards),
@@ -236,12 +232,14 @@ class ChainSolver:
             return clamp(child, gj, cdata)
 
         def value(state: int, m: int) -> int:
+            nonlocal next_check
             v = memo.get(state)
             if v is not None:
                 return v
             counter[0] += 1
-            if counter[0] > node_limit:
-                raise ResourceLimitError("node_limit", node_limit)
+            if counter[0] >= next_check:
+                check_memory(memo)
+                next_check += CHECK_EVERY
             wid = state >> shift
             rows = word_rows.get(wid)
             if rows is None:
@@ -317,9 +315,9 @@ class ChainSolver:
         return (_D if saw_draw else _P), None
 
 
-def solve_chain(params: GameParams, n: int, *, node_limit: int = 10**8) -> SolveReport:
+def solve_chain(params: GameParams, n: int) -> SolveReport:
     """Solve (a, d, [n]) with a fresh transposition table."""
-    return ChainSolver(params, node_limit=node_limit).solve(n)
+    return ChainSolver(params).solve(n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +382,10 @@ def verify_shift_implication(params: GameParams, n: int) -> bool:
 class CappedChainSolver(ChainSolver):
     """Chain solver over threshold-clamped GapStates; takes any deck size."""
 
-    def __init__(self, params: GameParams, *, node_limit: int = 10**8):
+    def __init__(self, params: GameParams):
         self._bound = stabilization_bound(params.a, params.d)
         self._bounds_cache: dict[int, tuple[int, ...]] = {}
-        super().__init__(params, node_limit=node_limit)
+        super().__init__(params)
 
     def _gap_bits(self) -> int:
         # A clamped gap holds at most B(a, d) cards, and so does any merge

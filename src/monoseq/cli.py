@@ -1,7 +1,8 @@
 """Command-line entry point: solvers, verifiers, enumeration and traces.
 
 Exit codes: 0 success / all checks passed, 1 any golden mismatch or failed
-certificate, 2 usage error, 3 resource cap exceeded.
+certificate, 2 usage error, 3 out of memory (the memory guard fired, or an
+allocation failed).
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ class SuiteResult:
     suite: str
     cases: list[CaseResult] = field(default_factory=list)
 
-    def record(self, case_id: str, expected, actual, elapsed: float = 0.0) -> None:
-        self.cases.append(
-            CaseResult(case_id, str(expected), str(actual), str(expected) == str(actual), elapsed)
-        )
+    def check(self, case_id: str, expected, solve, *args) -> None:
+        """Time solve(*args) and record its result against expected."""
+        t0 = time.perf_counter()
+        expected, actual = str(expected), str(solve(*args))
+        elapsed = time.perf_counter() - t0
+        self.cases.append(CaseResult(case_id, expected, actual, expected == actual, elapsed))
 
     @property
     def passed(self) -> int:
@@ -158,26 +161,28 @@ def _chain_solver_class(params: GameParams, n: int) -> type[ChainSolver]:
     return ChainSolver
 
 
+def _print_result(payload: dict, as_json: bool) -> int:
+    """Print a solve command's payload as JSON, or else its outcome alone."""
+    print(json.dumps(payload) if as_json else payload["outcome"])
+    return 0
+
+
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver = _chain_solver_class(params, args.n)(params, node_limit=args.node_limit)
+    solver = _chain_solver_class(params, args.n)(params)
     report = solver.solve(args.n)
-    if args.json:
-        payload = {
-            "a": args.a,
-            "d": args.d,
-            "n": args.n,
-            "mode": params.mode.value,
-            "outcome": report.outcome.value,
-            "smallest_winning_move": report.smallest_winning_move,
-            "nodes_expanded": report.nodes_expanded,
-            "memo_entries": solver.memo_size,
-            "elapsed_s": round(report.elapsed, 6),
-        }
-        print(json.dumps(payload))
-    else:
-        print(report.outcome.value)
-    return 0
+    payload = {
+        "a": args.a,
+        "d": args.d,
+        "n": args.n,
+        "mode": params.mode.value,
+        "outcome": report.outcome.value,
+        "smallest_winning_move": report.smallest_winning_move,
+        "nodes_expanded": report.nodes_expanded,
+        "memo_entries": solver.memo_size,
+        "elapsed_s": round(report.elapsed, 6),
+    }
+    return _print_result(payload, args.json)
 
 
 def _cmd_solve_q(args) -> int:
@@ -188,52 +193,36 @@ def _cmd_solve_q(args) -> int:
         outcome = graph[""]
     else:
         outcome = solve_q(params)
-    elapsed = time.perf_counter() - t0
-    if args.json or args.dump_graph:
-        payload = {
-            "a": args.a,
-            "d": args.d,
-            "mode": params.mode.value,
-            "outcome": outcome.value,
-            "elapsed_s": round(elapsed, 6),
-        }
-        if args.dump_graph:
-            payload["positions"] = {w: o.value for w, o in sorted(graph.items())}
-        print(json.dumps(payload))
-    else:
-        print(outcome.value)
-    return 0
+    payload = {
+        "a": args.a,
+        "d": args.d,
+        "mode": params.mode.value,
+        "outcome": outcome.value,
+        "elapsed_s": round(time.perf_counter() - t0, 6),
+    }
+    if args.dump_graph:
+        payload["positions"] = {w: o.value for w, o in sorted(graph.items())}
+    return _print_result(payload, args.json or args.dump_graph)
 
 
 def _cmd_solve_extended(args) -> int:
-    outcome = solve_extended(args.a, args.d, size_cap=args.max_size)
-    if args.json:
-        print(json.dumps({"a": args.a, "d": args.d, "outcome": outcome.value}))
-    else:
-        print(outcome.value)
-    return 0
+    outcome = solve_extended(args.a, args.d)
+    return _print_result({"a": args.a, "d": args.d, "outcome": outcome.value}, args.json)
 
 
 def _cmd_solve_poset(args) -> int:
     with open(args.file) as fh:
         deck = FinitePoset.from_json(json.load(fh))
     params = GameParams(args.a, args.d, Mode(args.mode))
-    outcome = solve_poset(deck, params, element_cap=args.element_cap)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "a": args.a,
-                    "d": args.d,
-                    "mode": params.mode.value,
-                    "elements": deck.size,
-                    "outcome": outcome.value,
-                }
-            )
-        )
-    else:
-        print(outcome.value)
-    return 0
+    outcome = solve_poset(deck, params)
+    payload = {
+        "a": args.a,
+        "d": args.d,
+        "mode": params.mode.value,
+        "elements": deck.size,
+        "outcome": outcome.value,
+    }
+    return _print_result(payload, args.json)
 
 
 def _parse_values(text: str) -> list[int]:
@@ -304,13 +293,8 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
     for a, d, n, expected in cases:
         if solver is None or (solver.params.a, solver.params.d) != (a, d):
             solver = ChainSolver(GameParams(a, d, mode))
-        report = solver.solve(n)
-        result.record(
-            f"{mode.value} a={a} d={d} n={n}",
-            expected.value,
-            report.outcome.value,
-            report.elapsed,
-        )
+        case_id = f"{mode.value} a={a} d={d} n={n}"
+        result.check(case_id, expected, lambda: solver.solve(n).outcome)
     return result
 
 
@@ -321,29 +305,15 @@ def _verify_q_theorems(args) -> SuiteResult:
     elif max_a < 2:
         raise ValueError(f"--max-a must be at least 2, got {max_a}")
     result = SuiteResult("q-theorems")
-
-    def run(a: int, d: int, expected: Outcome) -> None:
-        t0 = time.perf_counter()
-        actual = solve_q(GameParams(a, d))
-        result.record(
-            f"q a={a} d={d} normal", expected.value, actual.value, time.perf_counter() - t0
-        )
-
-    for a in range(2, max_a + 1):
-        run(a, 2, Outcome.P)
-    for a in range(3, max_a + 1):
-        run(a, 3, Outcome.N if a % 2 else Outcome.P)
+    cases = [(a, 2, Outcome.P) for a in range(2, max_a + 1)]
+    cases += [(a, 3, Outcome.N if a % 2 else Outcome.P) for a in range(3, max_a + 1)]
     top_d = 8 if args.full else 6
-    for d in range(4, top_d + 1):
-        for a in range(d, max_a + 1):
-            run(a, d, Outcome.N)
+    cases += [(a, d, Outcome.N) for d in range(4, top_d + 1) for a in range(d, max_a + 1)]
+    for a, d, expected in cases:
+        result.check(f"q a={a} d={d} normal", expected, solve_q, GameParams(a, d))
     for a in range(3, 8):
         for d in range(3, 8):
-            t0 = time.perf_counter()
-            ok = duality_check(a, d)
-            result.record(
-                f"q duality a={a} d={d}", "True", str(ok), time.perf_counter() - t0
-            )
+            result.check(f"q duality a={a} d={d}", True, duality_check, a, d)
     return result
 
 
@@ -351,16 +321,9 @@ def _verify_extended_parity(args) -> SuiteResult:
     result = SuiteResult("extended-parity")
     pairs = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (5, 3)]
     if args.full:
-        pairs.append((4, 4))
+        pairs += [(4, 4), (5, 5), (6, 4), (4, 6)]
     for a, d in pairs:
-        t0 = time.perf_counter()
-        actual = solve_extended(a, d)
-        result.record(
-            f"extended a={a} d={d}",
-            parity_outcome(a, d).value,
-            actual.value,
-            time.perf_counter() - t0,
-        )
+        result.check(f"extended a={a} d={d}", parity_outcome(a, d), solve_extended, a, d)
     return result
 
 
@@ -368,9 +331,7 @@ def _verify_admissible_counts(args) -> SuiteResult:
     result = SuiteResult("admissible-counts")
     expected = {1: 1, 2: 3, 3: 8, 4: 21, 5: 55, 6: 144}
     for k, count in expected.items():
-        t0 = time.perf_counter()
-        actual = len(enumerate_admissible(k))
-        result.record(f"admissible k={k}", count, actual, time.perf_counter() - t0)
+        result.check(f"admissible k={k}", count, lambda: len(enumerate_admissible(k)))
     return result
 
 
@@ -400,6 +361,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.n_to < args.n_from:
+        raise ValueError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     params = GameParams(args.a, args.d, Mode(args.mode))
     solvers = {cls: cls(params) for cls in (ChainSolver, CappedChainSolver)}
     rows = []
@@ -460,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--d", type=int, required=True)
     chain.add_argument("--n", type=int, required=True)
     chain.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    chain.add_argument("--node-limit", type=int, default=10**8)
     chain.add_argument("--json", action="store_true")
     chain.set_defaults(func=_cmd_solve_chain)
 
@@ -475,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext = solve_sub.add_parser("extended", help="insert-anywhere play on a dense order")
     ext.add_argument("--a", type=int, required=True)
     ext.add_argument("--d", type=int, required=True)
-    ext.add_argument("--max-size", type=int, default=12)
     ext.add_argument("--json", action="store_true")
     ext.set_defaults(func=_cmd_solve_extended)
 
@@ -484,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     poset.add_argument("--a", type=int, required=True)
     poset.add_argument("--d", type=int, required=True)
     poset.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    poset.add_argument("--element-cap", type=int, default=10)
     poset.add_argument("--json", action="store_true")
     poset.set_defaults(func=_cmd_solve_poset)
 
@@ -540,8 +500,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

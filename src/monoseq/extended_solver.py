@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import ResourceLimitError
+from .errors import CHECK_EVERY, check_memory
 from .order_core import _N, _OUT, _P, Outcome
 
 Perm = tuple[int, ...]
@@ -154,7 +154,7 @@ def _near_terminal(perm: Perm, a: int, d: int) -> bool:
     return lis(perm) >= a - 1 or lds(perm) >= d - 1
 
 
-def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
+def _solve_extended_types(a: int, d: int) -> dict[Perm, int]:
     """Type every expanded pattern reachable from the empty one.
 
     A pattern with LIS >= a-1 or LDS >= d-1 is near-terminal: unless it is
@@ -168,12 +168,6 @@ def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
     """
     if a < 2 or d < 2:
         raise ValueError("critical lengths must be at least 2")
-    if (a - 1) * (d - 1) > size_cap:
-        raise ResourceLimitError(
-            "size_cap",
-            size_cap,
-            f"(a-1)(d-1) = {(a - 1) * (d - 1)} patterns grow beyond the cap",
-        )
     symmetric = a == d
     memo: dict[Perm, int] = {}
 
@@ -190,26 +184,26 @@ def _solve_extended_types(a: int, d: int, size_cap: int) -> dict[Perm, int]:
                 t = _N
                 break
         memo[canon] = t
+        if len(memo) % CHECK_EVERY == 1:
+            check_memory(memo)
         return t
 
     value(())
     return memo
 
 
-def solve_extended(a: int, d: int, *, size_cap: int = 12) -> Outcome:
+def solve_extended(a: int, d: int) -> Outcome:
     """Exact outcome of the empty insert-anywhere position.
 
     Near-terminal patterns (LIS >= a-1 or LDS >= d-1) are typed N without
     expansion, so only patterns with LIS <= a-2 and LDS <= d-2 are searched
-    and memoized.  Refuses (a-1)(d-1) > size_cap (default 12): the memo has
-    no memory guard yet, and the cap stays until one lands.  Raise the cap
-    explicitly to go further.
+    and memoized.
     """
-    types = _solve_extended_types(a, d, size_cap)
+    types = _solve_extended_types(a, d)
     return _OUT[types[()]]
 
 
-def principal_variation(a: int, d: int, *, size_cap: int = 12) -> list[Perm]:
+def principal_variation(a: int, d: int) -> list[Perm]:
     """One optimal line from the empty position to a terminal pattern.
 
     The winner plays the first winning move in sorted order; the loser
@@ -217,7 +211,7 @@ def principal_variation(a: int, d: int, *, size_cap: int = 12) -> list[Perm]:
     move reaches a near-terminal pattern, with a-1 increasing or d-1
     decreasing points), otherwise the first move.
     """
-    types = _solve_extended_types(a, d, size_cap)
+    types = _solve_extended_types(a, d)
     symmetric = a == d
 
     def typed(perm: Perm) -> int:

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ResourceLimitError, StrategyInapplicableError
+from .errors import CHECK_EVERY, StrategyInapplicableError, check_memory
 
 
 class Mode(enum.Enum):
@@ -362,21 +362,12 @@ def no_draw_possible(deck, params: GameParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact solver for small finite decks.  Both searches label the deck in
+# Exact solver for finite decks.  Both searches label the deck in
 # place: asc[i] and desc[i] stay 0 until element i is played.
 
 
-def _capped_size(deck, element_cap: int, name: str) -> int:
-    n = deck.size
-    if n is None:
-        raise ValueError(f"{name} needs a finite deck")
-    if n > element_cap:
-        raise ResourceLimitError("element_cap", element_cap, f"deck has {n} elements")
-    return n
-
-
-def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
-    """Exact outcome of the empty board on a small finite deck.
+def solve_poset(deck, params: GameParams) -> Outcome:
+    """Exact outcome of the empty board on a finite deck.
 
     Three-valued backward induction: a terminal critical board is P in
     normal play and N in misere play, an exhausted deck is D, and an inner
@@ -386,7 +377,9 @@ def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
     nothing else, so transposed boards share one entry.  Works for
     FinitePoset and FiniteChain decks.
     """
-    n = _capped_size(deck, element_cap, "solve_poset")
+    n = deck.size
+    if n is None:
+        raise ValueError("solve_poset needs a finite deck")
     if n == 0:
         return Outcome.D
     terminal = _N if params.mode is Mode.MISERE else _P
@@ -420,19 +413,23 @@ def solve_poset(deck, params: GameParams, *, element_cap: int = 10) -> Outcome:
             if cv == _D:
                 out = _D
         memo[state] = out
+        if len(memo) % CHECK_EVERY == 1:
+            check_memory(memo)
         return out
 
     return _OUT[value(0)]
 
 
-def draw_reachable(deck, params: GameParams, *, element_cap: int = 10) -> bool:
+def draw_reachable(deck, params: GameParams) -> bool:
     """True iff some complete play exhausts the deck without ever forming
     a critical sequence (i.e. the two players can cooperate to a draw).
 
     Positions from which no such play exists are remembered by the label
     key that solve_poset memoizes on, which is sound for the same reason.
     """
-    n = _capped_size(deck, element_cap, "draw_reachable")
+    n = deck.size
+    if n is None:
+        raise ValueError("draw_reachable needs a finite deck")
     a, d = params.a, params.d
     elements = tuple(deck.elements)
     less = deck.less
@@ -457,6 +454,8 @@ def draw_reachable(deck, params: GameParams, *, element_cap: int = 10) -> bool:
             if found:
                 return True
         dead.add(state)
+        if len(dead) % CHECK_EVERY == 1:
+            check_memory(dead)
         return False
 
     return rec(0)

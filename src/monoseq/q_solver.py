@@ -32,7 +32,7 @@ from .bumping import (
     reddish,
     reverse_complement,
 )
-from .errors import InvariantError
+from .errors import CHECK_EVERY, InvariantError, check_memory
 from .order_core import _N, _OUT, _P, GameParams, Mode, Outcome
 
 
@@ -100,29 +100,30 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
             return t
         r, b = _word_counts[wid]
         if r >= a or b >= d:
-            types[wid] = terminal
-            return terminal
-        if wid in on_stack:
+            t = terminal
+        elif wid in on_stack:
             raise InvariantError(
                 "cycle among non-terminal colour words; this contradicts the "
                 "Erdos-Szekeres bound on play length"
             )
-        if depth > depth_limit:
+        elif depth > depth_limit:
             raise InvariantError(
                 f"search depth exceeded the play-length bound {depth_limit}"
             )
-        if r >= near_a or b >= near_d:
-            types[wid] = _N
-            return _N
-        on_stack.add(wid)
-        t = _P
-        for child in _child_ids(wid):
-            if visit(child, depth + 1) == _P:
-                t = _N
-                if cutoff:
-                    break
-        on_stack.discard(wid)
+        elif r >= near_a or b >= near_d:
+            t = _N
+        else:
+            on_stack.add(wid)
+            t = _P
+            for child in _child_ids(wid):
+                if visit(child, depth + 1) == _P:
+                    t = _N
+                    if cutoff:
+                        break
+            on_stack.discard(wid)
         types[wid] = t
+        if len(types) % CHECK_EVERY == 1:
+            check_memory(types)
         return t
 
     visit(_EMPTY, 0)

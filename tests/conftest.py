@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from monoseq import CappedChainSolver, ChainSolver, GameParams, Mode, Outcome
+from monoseq import CappedChainSolver, ChainSolver, GameParams, Mode, Outcome, errors
 
 
 def brute_lis(values) -> int:
@@ -114,3 +114,10 @@ class SolverCache:
 @pytest.fixture(scope="session")
 def solvers() -> SolverCache:
     return SolverCache()
+
+
+@pytest.fixture
+def zero_budget(monkeypatch):
+    """Substitute a memory budget of zero bytes: the guard fires at the
+    first memo insertion it checks."""
+    monkeypatch.setattr(errors, "memory_budget", lambda: 0)

@@ -22,7 +22,9 @@ from monoseq import (
     stabilization_bound,
     verify_shift_implication,
 )
+from monoseq import chain_solver
 from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver
+from monoseq.errors import CHECK_EVERY
 
 from conftest import brute_board_outcome, brute_lds, brute_lis, random_legal_board
 
@@ -184,15 +186,26 @@ class TestSolveChain:
                     expected = brute_board_outcome((), n, GameParams(a, d, mode))
                     assert got is expected, (a, d, mode, n)
 
-    def test_node_limit_enforced(self):
-        with pytest.raises(ResourceLimitError) as err:
-            solve_chain(GameParams(4, 4), 12, node_limit=50)
-        assert "node_limit" in str(err.value)
+    @pytest.mark.parametrize("solver_class", [ChainSolver, CappedChainSolver])
+    def test_memory_guard(self, zero_budget, solver_class):
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            solver_class(GameParams(4, 4)).solve(12)
+
+    def test_memory_check_cadence(self, monkeypatch):
+        solver = ChainSolver(GameParams(4, 4))
+        seen = []
+        monkeypatch.setattr(
+            chain_solver, "check_memory", lambda memo: seen.append(solver.nodes_expanded)
+        )
+        solver.solve(20)
+        solver.solve(24)  # the cadence runs on across solves of one memo
+        assert solver.nodes_expanded > CHECK_EVERY
+        assert seen == list(range(1, solver.nodes_expanded + 1, CHECK_EVERY))
 
     @pytest.mark.parametrize("solver_class", [ChainSolver, CappedChainSolver])
     def test_memo_holds_each_expanded_state_once(self, solver_class):
-        # What keeps node_limit the only cap: the memo never outgrows the
-        # node count, across solves sharing one memo.
+        # The memo never outgrows the node count, across solves sharing one
+        # memo, so the guard's check every CHECK_EVERY nodes tracks its growth.
         for a, d in [(3, 3), (4, 3), (3, 5)]:
             for mode in (Mode.NORMAL, Mode.MISERE):
                 solver = solver_class(GameParams(a, d, mode))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from monoseq import cli
 from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver, stabilization_bound
 from monoseq.cli import emit_table, parse_table_json, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
@@ -120,11 +121,6 @@ class TestSolveCommands:
         assert code == 0
         assert out.strip() == "N"
 
-    def test_solve_extended_cap_exit_code(self, capsys):
-        code, _, err = invoke(capsys, "solve", "extended", "--a", "6", "--d", "6")
-        assert code == 3
-        assert "size_cap" in err
-
     def test_solve_poset_from_json(self, capsys, tmp_path):
         doc = {
             "elements": ["a", "b", "c"],
@@ -159,13 +155,43 @@ class TestSolveCommands:
         assert out == ""
         assert err.startswith("error: bad poset document")
 
-    def test_resource_error_exit_code(self, capsys):
-        code, _, err = invoke(
-            capsys,
-            "solve", "chain", "--a", "4", "--d", "4", "--n", "12", "--node-limit", "10",
-        )
+    @pytest.mark.parametrize("target", ["chain", "q", "extended", "poset"])
+    def test_memory_guard_exit_code(self, capsys, tmp_path, zero_budget, target):
+        path = tmp_path / "chain3.json"
+        path.write_text(json.dumps({"elements": [1, 2, 3], "less_than": [[1, 2], [2, 3]]}))
+        extra = {"chain": ["--n", "12"], "poset": ["--file", str(path)]}.get(target, [])
+        code, out, err = invoke(capsys, "solve", target, "--a", "4", "--d", "4", *extra)
         assert code == 3
-        assert "node_limit" in err
+        assert out == ""
+        assert err.startswith("error: memory budget exceeded")
+        assert err.count("\n") == 1  # one error line, no traceback
+
+    def test_address_space_limit_bounds_budget(self):
+        # Under `ulimit -v` the guard fires before an allocation fails, so
+        # the command ends on one error line instead of a traceback.
+        resource = pytest.importorskip("resource")
+        limit = 128 << 20
+        argv = ["solve", "chain", "--a", "7", "--d", "7", "--n", "30"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "monoseq", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: memory budget exceeded")
+        assert proc.stderr.count("\n") == 1
+
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        def exhausted(a, d):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve_extended", exhausted)
+        code, out, err = invoke(capsys, "solve", "extended", "--a", "3", "--d", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory\n"
 
 
 class TestBumpTrace:
@@ -284,6 +310,16 @@ class TestScan:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n outcome")
         assert lines[4].split() == ["4", "N", "2"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_range_rejected(self, capsys, fmt):
+        code, out, err = invoke(
+            capsys,
+            "scan", "--a", "3", "--d", "3", "--n-from", "5", "--n-to", "3", "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--n-from" in err and "--n-to" in err
 
 
 class TestLemmaSlot:

@@ -162,18 +162,20 @@ class TestSolveExtended:
     def test_trivial_second_player_win(self):
         assert solve_extended(2, 2) is Outcome.P
 
-    def test_size_cap(self):
-        with pytest.raises(ResourceLimitError):
-            solve_extended(5, 5)
-        with pytest.raises(ResourceLimitError):
-            solve_extended(4, 4, size_cap=8)
+    @pytest.mark.parametrize("solve", [solve_extended, principal_variation])
+    def test_memory_guard(self, zero_budget, solve):
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            solve(3, 3)
 
     def test_four_four_is_previous_player(self):
         assert solve_extended(4, 4) is Outcome.P
 
-    @pytest.mark.parametrize("a,d", [(5, 5), (6, 4), (4, 6), (7, 3)])
-    def test_explicit_cap_beyond_default(self, a, d):
-        assert solve_extended(a, d, size_cap=(a - 1) * (d - 1)) is parity_outcome(a, d)
+    @pytest.mark.parametrize(
+        "a,d", [(5, 5), (6, 4), (4, 6), (7, 3), (7, 4), (4, 7), (8, 3)]
+    )
+    def test_beyond_old_size_cap(self, a, d):
+        # (a-1)(d-1) > 12: refused by default before the memory guard.
+        assert solve_extended(a, d) is parity_outcome(a, d)
 
     def test_parity_outcome_values(self):
         assert parity_outcome(3, 3) is Outcome.N
@@ -255,7 +257,7 @@ class TestNearTerminalCutoff:
         expected = {
             p: t for p, t in full.items() if lis(p) < a - 1 and lds(p) < d - 1
         }
-        assert _solve_extended_types(a, d, 12) == expected
+        assert _solve_extended_types(a, d) == expected
 
     @pytest.mark.parametrize("a,d", REFEREE_PAIRS)
     def test_principal_variation_matches_full_expansion(self, a, d):

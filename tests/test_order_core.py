@@ -307,18 +307,27 @@ class TestSolvePoset:
     def test_empty_deck_draws(self):
         assert solve_poset(FinitePoset([], []), GameParams(2, 2)) is Outcome.D
 
-    def test_element_cap(self):
-        with pytest.raises(ResourceLimitError):
-            solve_poset(FiniteChain(11), GameParams(3, 3))
-        # Raising the cap admits the bigger deck (cheap instance: a=d=2
-        # ends every play by the second move).
-        assert solve_poset(FiniteChain(11), GameParams(2, 2), element_cap=11) is Outcome.P
+    @pytest.mark.parametrize("solve", [solve_poset, draw_reachable])
+    def test_memory_guard(self, zero_budget, solve):
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            solve(FiniteChain(4), GameParams(2, 2))
+
+    @pytest.mark.parametrize("solve", [solve_poset, draw_reachable])
+    def test_infinite_deck_rejected(self, solve):
+        from monoseq import DenseOrder
+
+        with pytest.raises(ValueError, match="needs a finite deck"):
+            solve(DenseOrder(), GameParams(3, 3))
+
+    def test_sixteen_element_cube(self):
+        # More elements than the old default cap of 10 admitted.
+        assert solve_poset(boolean_lattice(4), GameParams(3, 3)) is Outcome.P
 
     def test_matches_chain_solver(self, solvers):
         for a in range(2, 5):
             for d in range(2, 5):
                 for mode in (Mode.NORMAL, Mode.MISERE):
-                    for n in range(0, 11):
+                    for n in range(0, 17):
                         expected = solvers.outcome(a, d, n, mode)
                         got = solve_poset(FiniteChain(n), GameParams(a, d, mode))
                         assert got is expected, (a, d, mode, n)

@@ -27,7 +27,7 @@ from monoseq import (
     verify_sufficient_pset,
 )
 from monoseq import q_solver
-from monoseq.errors import InvariantError
+from monoseq.errors import InvariantError, ResourceLimitError
 from monoseq.q_solver import QPosition
 
 
@@ -121,6 +121,11 @@ class TestSolveQ:
             for d in range(2, 9):
                 params = GameParams(a, d, mode)
                 assert solve_q(params) is typed_reachable_graph(params)[""], params
+
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
+    def test_memory_guard(self, zero_budget, solve):
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            solve(GameParams(4, 4))
 
     @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
     def test_cycle_raises(self, monkeypatch, solve):
