@@ -8,12 +8,15 @@ a sound transposition key, and a move is just "split gap j into (l, r)"
 followed by the colour-level bump (which may retint letters or delete one
 on each side, merging adjacent gaps).
 
+A gap of at least B(x, y) cards is interchangeable with any larger one,
+so the search clamps every gap to that threshold and the root gap to
+B(a, d): any deck size solves.  The tests check the clamped search
+against an unclamped referee.
+
 Inside the search a GapState is one int: gap i fills bits [W*i, W*(i+1))
 and the interned word id sits above the a+d-1 gap fields a live word can
-have.  Merges only add adjacent fields, so the children of one gap are an
-arithmetic progression in l and each further child costs one integer add.
-Capped solving runs the same loop and only clamps each child gap to its
-large-gap threshold.
+have.  Merges only add adjacent fields, so the clamped children of one
+gap form at most three arithmetic runs in l.
 
 Moves are enumerated in increasing card order and the only pruning is the
 usual cutoff once a P child proves the position N; the smallest winning
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .bumping import _transitions, _wid, _word_text, double_bump
 from .errors import CHECK_EVERY, check_memory
@@ -40,11 +43,6 @@ from .order_core import (
     Outcome,
     _check_board_elements,
 )
-
-#: Width in bits of one packed gap field in exact solving.
-GAP_BITS = 5
-#: Largest deck size exact solving accepts: every gap must fit its field.
-MAX_EXACT_N = (1 << GAP_BITS) - 1
 
 
 class GapState(NamedTuple):
@@ -112,9 +110,6 @@ def canonical_state(deck: FiniteChain, board) -> GapState:
     return GapState(rec.colour_word(), tuple(gaps))
 
 
-_EMPTY_WID = _wid("")
-
-
 def _merge_op(bits: int, i: int):
     """(low mask, high shift, low shift) that adds gap field i+1 into field
     i and moves the fields above it down by one; None for i = -1."""
@@ -123,30 +118,203 @@ def _merge_op(bits: int, i: int):
     return (1 << bits * (i + 1)) - 1, bits * (i + 1), bits * i
 
 
+def _gap_bounds(wid: int, a: int, d: int) -> tuple[int, ...]:
+    """Large-gap threshold B(x, y) of each gap of a live word."""
+    word = _word_text[wid]
+    x = a
+    y = d - (len(word) - word.count("R"))
+    bounds = [large_gap_bound(x, y)]
+    for ch in word:
+        # Left to right, a reddish letter joins those before the gap and a
+        # bluish one leaves those after it.
+        x -= ch != "B"
+        y += ch != "R"
+        bounds.append(large_gap_bound(x, y))
+    return tuple(bounds)
+
+
+def _make_search(params: GameParams, memo: dict, counter: list):
+    """The (value, split, word rows) functions of one solver.  They hold
+    nothing that refers back to the solver, so a dropped solver and its
+    memo are freed at once, not at the next cyclic collection."""
+    a, d = params.a, params.d
+    normal = params.mode is Mode.NORMAL
+    # A clamped gap holds at most B(a, d) cards, and so does any merge of
+    # two adjacent ones.
+    bits = stabilization_bound(a, d).bit_length()
+    fmask = (1 << bits) - 1
+    # A live word has at most a+d-2 letters, hence at most a+d-1 gaps.
+    shift = bits * (a + d - 1)
+    gmask = (1 << shift) - 1
+    word_rows: dict[int, tuple] = {}
+    next_check = 1
+
+    def build(wid: int) -> tuple:
+        """(gap shift, critical, split data) for each gap of the word.
+
+        Split data turns the parent's gap fields into the l = 0 child and
+        clamps it; only the fields pl and pl + 1 that the split fills vary
+        with l.  Critical gaps are left out in misere play, where they are
+        never played.
+        """
+        held = _gap_bounds(wid, a, d)
+        rows = []
+        for j, cid, cr, cb, rt, ls in _transitions(wid):
+            sj = bits * j
+            if cr >= a or cb >= d:
+                if normal:
+                    rows.append((sj, True, None))
+                continue
+            pl = j - (ls >= 0)  # the field holding l once merges are done
+            pr = pl + 1
+            bounds = _gap_bounds(cid, a, d)
+            # The most each other child field can hold, its parent fields
+            # being clamped: only a field whose threshold is below that
+            # needs clamping.
+            most = [*held[:j], 0, 0, *held[j + 1 :]]
+            if rt >= 0:
+                most[rt] += most.pop(rt + 1)
+            if ls >= 0:
+                most[ls] += most.pop(ls + 1)
+            others = tuple(
+                (bits * i, b)
+                for i, b in enumerate(bounds)
+                if most[i] > b and i != pl and i != pr
+            )
+            data = (
+                (1 << sj) - 1,
+                sj + bits,
+                sj + 2 * bits,
+                _merge_op(bits, rt),
+                _merge_op(bits, ls),
+                cid << shift,
+                others,
+                bits * pl,
+                bounds[pl],
+                1 << bits * pl,
+                bits * pr,
+                bounds[pr],
+                1 << bits * pr,
+            )
+            rows.append((sj, False, data))
+        out = word_rows[wid] = tuple(rows)
+        return out
+
+    def split(g: int, gj: int, data: tuple) -> Sequence[int]:
+        """Clamped child states of splitting gap field j of g (holding gj
+        cards), in ascending card order, each distinct child once."""
+        low, s1, s2, rmerge, lmerge, cid_hi, others, sl, bl, fl, sr, br, fr = data
+        child = g & low | (gj - 1) << s1 | g >> s1 << s2
+        if rmerge is not None:
+            mask, hi, lo = rmerge
+            child = (child & mask) + (child >> hi << lo)
+        if lmerge is not None:
+            mask, hi, lo = lmerge
+            child = (child & mask) + (child >> hi << lo)
+        for si, b in others:
+            v = child >> si & fmask
+            if v > b:
+                child -= (v - b) << si
+        left = child >> sl & fmask
+        right = child >> sr & fmask
+        rest = child - (left << sl) - (right << sr) + cid_hi
+        if gj == 1:
+            # One card, one child.
+            return (rest + (min(left, bl) << sl) + (min(right, br) << sr),)
+        # Split l leaves min(left + l, bl) cards in field pl and
+        # min(right - l, br) in field pr.  The left field is clamped from
+        # l = tl on and the right one free from l = ur on, so the children
+        # form three arithmetic runs.
+        tl = min(max(bl - left, 0), gj)
+        ur = min(max(right - br + 1, 0), gj)
+        if tl >= ur:
+            both = rest + (left + ur << sl) + (right - ur << sr)
+            if tl == gj and not ur:
+                # Both fields free for every l.
+                return range(both, both + gj * (fl - fr), fl - fr)
+            lo, hi = ur, tl
+        else:
+            lo, hi = tl, ur
+        # The left field grows while the right one stays clamped.
+        head = rest + (br << sr)
+        out = list(range(head + (left << sl), head + (left + lo << sl), fl))
+        if lo < tl:
+            # Both fields free.
+            out += range(both, both + (hi - lo) * (fl - fr), fl - fr)
+        elif lo < hi:
+            # Both fields clamped for every l in [tl, ur): one child.
+            out.append(head + (bl << sl))
+        # The left field stays clamped while the right one shrinks.
+        tail = rest + (bl << sl)
+        out += range(tail + (right - hi << sr), tail + (right - gj << sr), -fr)
+        return out
+
+    def value(state: int, m: int) -> int:
+        nonlocal next_check
+        v = memo.get(state)
+        if v is not None:
+            return v
+        counter[0] += 1
+        if counter[0] >= next_check:
+            check_memory(memo)
+            next_check += CHECK_EVERY
+        wid = state >> shift
+        rows = word_rows.get(wid)
+        if rows is None:
+            rows = build(wid)
+        g = state & gmask
+        m1 = m - 1
+        result = -1
+        saw_draw = False
+        for sj, critical, data in rows:
+            gj = g >> sj & fmask
+            if not gj:
+                continue
+            if critical:
+                # Any card in this gap completes a critical sequence.
+                result = _N
+                break
+            if m == 1:
+                saw_draw = True
+                continue
+            for child in split(g, gj, data):
+                cv = value(child, m1)
+                if cv == _P:
+                    result = _N
+                    break
+                if cv == _D:
+                    saw_draw = True
+            if result >= 0:
+                break
+        out = result if result >= 0 else (_D if saw_draw else _P)
+        memo[state] = out
+        return out
+
+    return value, split, build
+
+
 class ChainSolver:
     """Shared-memo solver for fixed (a, d, mode) across deck sizes.
 
-    The transposition table is keyed on exact GapStates, which do not
-    mention the deck size, so solving several n for the same parameters
-    reuses the table.  Deterministic and single-threaded: outcomes, smallest
-    winning moves and node counts repeat exactly run to run.  Each expanded
-    state is memoized once and nothing else is, so after every solve
-    ``memo_size == nodes_expanded``; memory is checked as the memo grows.
+    A gap is large when it holds at least B(x, y) cards, where x = a - r
+    and y = d - b for the r reddish letters before it and the b bluish
+    letters after it.  Large gaps are interchangeable, so every child gap
+    is clamped to its threshold and the root gap to B(a, d): every deck
+    of at least B(a, d) cards is the same root.  The clamped GapStates do
+    not mention the deck size, so solving several n for the same
+    parameters reuses the memo.  Deterministic and single-threaded:
+    outcomes, smallest winning moves and node counts repeat exactly run to
+    run.  Each expanded state is memoized once and nothing else is, so
+    after every solve ``memo_size == nodes_expanded``; memory is checked
+    as the memo grows.
     """
-
-    #: Gap normalizer applied to every child state; None is the identity.
-    _clamp = None
 
     def __init__(self, params: GameParams):
         self.params = params
-        self._bits = self._gap_bits()
-        self._fmask = (1 << self._bits) - 1
-        # A live word has at most a+d-2 letters, hence at most a+d-1 gaps.
-        self._shift = self._bits * (params.a + params.d - 1)
+        self._bound = stabilization_bound(params.a, params.d)
         self._memo: dict = {}
-        self._rows: dict[int, tuple] = {}
         self._counter = [0]
-        self._value, self._split = self._make_value()
+        self._value, self._split, self._word_rows = _make_search(params, self._memo, self._counter)
 
     @property
     def nodes_expanded(self) -> int:
@@ -156,136 +324,17 @@ class ChainSolver:
     def memo_size(self) -> int:
         return len(self._memo)
 
-    def _gap_bits(self) -> int:
-        return GAP_BITS
-
-    def _root_gap(self, n: int) -> int:
-        """Size of the one gap the root scan splits."""
-        if n > MAX_EXACT_N:
-            raise ValueError(
-                f"deck size {n} exceeds {MAX_EXACT_N}, the largest exact solving "
-                f"packs into {GAP_BITS}-bit gap fields; CappedChainSolver takes any n"
-            )
-        return n
-
-    def _clamp_data(self, cid: int, pl: int):
-        return None
-
-    def _word_rows(self, wid: int) -> tuple:
-        """(gap shift, critical, split data) for each gap of the word.
-
-        Split data turns the parent's gap fields into the l = 0 child and
-        steps l: the child of split l + 1 is that of l plus ``step``.
-        Critical gaps are left out in misere play, where they are never
-        played.
-        """
-        bits, shift = self._bits, self._shift
-        a, d = self.params.a, self.params.d
-        normal = self.params.mode is Mode.NORMAL
-        rows = []
-        for j, cid, cr, cb, rt, ls in _transitions(wid):
-            sj = bits * j
-            if cr >= a or cb >= d:
-                if normal:
-                    rows.append((sj, True, None))
-                continue
-            pl = j - (ls >= 0)  # the field holding l once merges are done
-            split = (
-                (1 << sj) - 1,
-                sj + bits,
-                sj + 2 * bits,
-                _merge_op(bits, rt),
-                _merge_op(bits, ls),
-                cid << shift,
-                -(self._fmask << bits * pl),
-                self._clamp_data(cid, pl),
-            )
-            rows.append((sj, False, split))
-        out = self._rows[wid] = tuple(rows)
-        return out
-
-    def _make_value(self):
-        memo = self._memo
-        word_rows = self._rows
-        build = self._word_rows
-        clamp = self._clamp
-        shift = self._shift
-        gmask = (1 << shift) - 1
-        fmask = self._fmask
-        counter = self._counter
-        next_check = 1
-
-        def split(g: int, gj: int, data: tuple):
-            """Child states of splitting gap field j of g (holding gj cards),
-            in ascending card order."""
-            low, s1, s2, rmerge, lmerge, cid_hi, step, cdata = data
-            child = g & low | (gj - 1) << s1 | g >> s1 << s2
-            if rmerge is not None:
-                mask, hi, lo = rmerge
-                child = (child & mask) + (child >> hi << lo)
-            if lmerge is not None:
-                mask, hi, lo = lmerge
-                child = (child & mask) + (child >> hi << lo)
-            child += cid_hi
-            if clamp is None:
-                return range(child, child + gj * step, step)
-            return clamp(child, gj, cdata)
-
-        def value(state: int, m: int) -> int:
-            nonlocal next_check
-            v = memo.get(state)
-            if v is not None:
-                return v
-            counter[0] += 1
-            if counter[0] >= next_check:
-                check_memory(memo)
-                next_check += CHECK_EVERY
-            wid = state >> shift
-            rows = word_rows.get(wid)
-            if rows is None:
-                rows = build(wid)
-            g = state & gmask
-            m1 = m - 1
-            result = -1
-            saw_draw = False
-            for sj, critical, data in rows:
-                gj = g >> sj & fmask
-                if not gj:
-                    continue
-                if critical:
-                    # Any card in this gap completes a critical sequence.
-                    result = _N
-                    break
-                if m == 1:
-                    saw_draw = True
-                    continue
-                for child in split(g, gj, data):
-                    cv = value(child, m1)
-                    if cv == _P:
-                        result = _N
-                        break
-                    if cv == _D:
-                        saw_draw = True
-                if result >= 0:
-                    break
-            out = result if result >= 0 else (_D if saw_draw else _P)
-            memo[state] = out
-            return out
-
-        return value, split
-
     def solve(self, n: int) -> SolveReport:
         """Outcome of the empty board of (a, d, [n])."""
         if n < 0:
             raise ValueError("deck size must be nonnegative")
-        gap = self._root_gap(n)
         t0 = time.perf_counter()
         a, d = self.params.a, self.params.d
         if n < min(a, d):
             # The deck is too small for any critical sequence to ever form.
             return SolveReport(Outcome.D, 0, None, time.perf_counter() - t0)
         start_nodes = self._counter[0]
-        outcome, swm = self._solve_root(n, gap)
+        outcome, swm = self._solve_root(n)
         return SolveReport(
             _OUT[outcome],
             self._counter[0] - start_nodes,
@@ -293,17 +342,18 @@ class ChainSolver:
             time.perf_counter() - t0,
         )
 
-    def _solve_root(self, n: int, gap: int) -> tuple[int, Optional[int]]:
+    def _solve_root(self, n: int) -> tuple[int, Optional[int]]:
         """Scan the root's splits in ascending card order.
 
-        The root gap holds all n cards, or B(a, d) of them once capped
-        solving clamps it.  Split l is the card l+1 up to l = B(a, d-1)
-        and keeps gap-1-l cards above it beyond that, so it is the card
-        n-(gap-1-l); both agree when gap = n.
+        The root gap holds min(n, B(a, d)) cards.  Split l is the card l+1
+        up to l = B(a, d-1) and keeps gap-1-l cards above it beyond that,
+        so it is the card n-(gap-1-l); both agree when gap = n.  No two
+        splits of the root give the same clamped child, so the split list
+        has one entry per l.
         """
         value = self._value
-        rows = self._rows.get(_EMPTY_WID) or self._word_rows(_EMPTY_WID)
-        ((_, _, data),) = rows
+        gap = min(n, self._bound)
+        ((_, _, data),) = self._word_rows(_wid(""))
         lo = large_gap_bound(self.params.a, self.params.d - 1)
         saw_draw = False
         for l, child in enumerate(self._split(gap, gap, data)):
@@ -313,6 +363,10 @@ class ChainSolver:
             if cv == _D:
                 saw_draw = True
         return (_D if saw_draw else _P), None
+
+
+#: Former name of the clamped search, kept for callers that construct it.
+CappedChainSolver = ChainSolver
 
 
 def solve_chain(params: GameParams, n: int) -> SolveReport:
@@ -365,76 +419,3 @@ def verify_shift_implication(params: GameParams, n: int) -> bool:
     up_a = solve_chain(GameParams(params.a + 1, params.d, params.mode), n + 1).outcome
     up_d = solve_chain(GameParams(params.a, params.d + 1, params.mode), n + 1).outcome
     return up_a is Outcome.N and up_d is Outcome.N
-
-
-# ---------------------------------------------------------------------------
-# Capped solving: clamp every gap to its large-gap threshold
-#
-# A gap is large when it has at least B(x, y) cards, where x = a - r and
-# y = d - b for the r reddish letters before the gap and the b bluish
-# letters after it; large gaps are interchangeable.  The capped solver
-# clamps each child gap to its threshold, so a clamped state is a real
-# GapState whose large gaps hold exactly B(x, y) cards, and it runs the
-# exact solver's value loop and memo format.  Clamping the root gap to
-# B(a, d) makes every deck of at least B(a, d) cards the same root.  The
-# normalization is validated against the exact solver, not trusted.
-
-class CappedChainSolver(ChainSolver):
-    """Chain solver over threshold-clamped GapStates; takes any deck size."""
-
-    def __init__(self, params: GameParams):
-        self._bound = stabilization_bound(params.a, params.d)
-        self._bounds_cache: dict[int, tuple[int, ...]] = {}
-        super().__init__(params)
-
-    def _gap_bits(self) -> int:
-        # A clamped gap holds at most B(a, d) cards, and so does any merge
-        # of two adjacent ones.
-        return self._bound.bit_length()
-
-    def _root_gap(self, n: int) -> int:
-        return min(n, self._bound)
-
-    def _gap_bounds(self, wid: int) -> tuple[int, ...]:
-        """Large-gap threshold B(x, y) of each gap of a live word."""
-        cached = self._bounds_cache.get(wid)
-        if cached is not None:
-            return cached
-        word = _word_text[wid]
-        x = self.params.a
-        y = self.params.d - (len(word) - word.count("R"))
-        bounds = [large_gap_bound(x, y)]
-        for ch in word:
-            # Left to right, a reddish letter joins those before the gap
-            # and a bluish one leaves those after it.
-            x -= ch != "B"
-            y += ch != "R"
-            bounds.append(large_gap_bound(x, y))
-        out = self._bounds_cache[wid] = tuple(bounds)
-        return out
-
-    def _clamp_data(self, cid: int, pl: int) -> tuple:
-        bits = self._bits
-        bounds = self._gap_bounds(cid)
-        pr = pl + 1
-        others = tuple(
-            (bits * i, b) for i, b in enumerate(bounds) if i != pl and i != pr
-        )
-        return others, bits * pl, bounds[pl], bits * pr, bounds[pr]
-
-    def _clamp(self, child: int, gj: int, data: tuple) -> list[int]:
-        """Clamp the l = 0 child's fields; only fields l and r vary with l."""
-        others, sl, bl, sr, br = data
-        fmask = self._fmask
-        for si, b in others:
-            v = child >> si & fmask
-            if v > b:
-                child -= (v - b) << si
-        left = child >> sl & fmask
-        right = child >> sr & fmask
-        rest = child - (left << sl) - (right << sr)
-        return [
-            rest | min(left + l, bl) << sl | min(right - l, br) << sr
-            for l in range(gj)
-        ]
-

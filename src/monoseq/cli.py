@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import golden
 from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
-from .chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver, stabilization_bound
+from .chain_solver import ChainSolver
 from .errors import ResourceLimitError
 from .extended_solver import insert_at, lds, lis, parity_outcome, safe_slot, solve_extended
 from .order_core import FinitePoset, GameParams, Mode, Outcome, solve_poset
@@ -151,16 +151,6 @@ def parse_table_json(text: str) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
-def _chain_solver_class(params: GameParams, n: int) -> type[ChainSolver]:
-    """Clamped search from the stabilization bound on, where every deck
-    shares one root, and past the exact search's deck limit; exact search
-    below the bound, where it is often the faster.  Both give the same
-    outcome and smallest winning move."""
-    if n >= stabilization_bound(params.a, params.d) or n > MAX_EXACT_N:
-        return CappedChainSolver
-    return ChainSolver
-
-
 def _print_result(payload: dict, as_json: bool) -> int:
     """Print a solve command's payload as JSON, or else its outcome alone."""
     print(json.dumps(payload) if as_json else payload["outcome"])
@@ -169,7 +159,7 @@ def _print_result(payload: dict, as_json: bool) -> int:
 
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver = _chain_solver_class(params, args.n)(params)
+    solver = ChainSolver(params)
     report = solver.solve(args.n)
     payload = {
         "a": args.a,
@@ -364,10 +354,10 @@ def _cmd_scan(args) -> int:
     if args.n_to < args.n_from:
         raise ValueError(f"--n-to {args.n_to} is below --n-from {args.n_from}")
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solvers = {cls: cls(params) for cls in (ChainSolver, CappedChainSolver)}
+    solver = ChainSolver(params)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
-        report = solvers[_chain_solver_class(params, n)].solve(n)
+        report = solver.solve(n)
         rows.append((n, report.outcome, report.smallest_winning_move))
     if args.format == "json":
         print(

@@ -31,15 +31,38 @@ class InvariantError(RuntimeError):
     """An internal invariant that should be unbreakable was violated."""
 
 
+#: The process's cgroup membership and the cgroup v2 mount point; tests
+#: substitute both.
+PROC_CGROUP, CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
+
+
+def cgroup_headroom() -> float:
+    """``memory.max - memory.current`` of the process's cgroup v2, or
+    infinity where those files are missing or ``memory.max`` is ``max``."""
+    try:
+        with open(PROC_CGROUP) as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        group = os.path.join(CGROUP_ROOT, path.lstrip("/"))
+        with open(os.path.join(group, "memory.max")) as fh:
+            limit = fh.read().strip()
+        with open(os.path.join(group, "memory.current")) as fh:
+            used = int(fh.read())
+        return math.inf if limit == "max" else int(limit) - used
+    except (OSError, StopIteration, ValueError):
+        return math.inf
+
+
 @functools.lru_cache(maxsize=None)
 def memory_budget() -> float:
     """MEMORY_FRACTION of the memory available at the first call: Linux's
     MemAvailable, else the free physical pages, and no more than the
-    address-space limit (``ulimit -v``).  Tests substitute this function."""
-    limit = math.inf
+    address-space limit (``ulimit -v``) or the room left under the cgroup
+    v2 ``memory.max``.  Tests substitute this function."""
+    limit = cgroup_headroom()
     if resource is not None:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        limit = math.inf if soft == resource.RLIM_INFINITY else soft
+        if soft != resource.RLIM_INFINITY:
+            limit = min(limit, soft)
     try:
         with open("/proc/meminfo", "rb") as fh:
             for line in fh:

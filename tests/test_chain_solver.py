@@ -1,8 +1,11 @@
-"""Chain solver: GapStates, bounds, closed forms and the capped variant."""
+"""Chain solver: GapStates, bounds, closed forms and the clamped search
+against the unclamped referee."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -23,10 +26,16 @@ from monoseq import (
     verify_shift_implication,
 )
 from monoseq import chain_solver
-from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver
+from monoseq.chain_solver import ChainSolver
 from monoseq.errors import CHECK_EVERY
 
-from conftest import brute_board_outcome, brute_lds, brute_lis, random_legal_board
+from conftest import (
+    RefereeChainSearch,
+    brute_board_outcome,
+    brute_lds,
+    brute_lis,
+    random_legal_board,
+)
 
 
 class TestCanonicalState:
@@ -186,47 +195,55 @@ class TestSolveChain:
                     expected = brute_board_outcome((), n, GameParams(a, d, mode))
                     assert got is expected, (a, d, mode, n)
 
-    @pytest.mark.parametrize("solver_class", [ChainSolver, CappedChainSolver])
-    def test_memory_guard(self, zero_budget, solver_class):
+    def test_memory_guard(self, zero_budget):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
-            solver_class(GameParams(4, 4)).solve(12)
+            ChainSolver(GameParams(4, 4)).solve(12)
 
     def test_memory_check_cadence(self, monkeypatch):
-        solver = ChainSolver(GameParams(4, 4))
+        solver = ChainSolver(GameParams(6, 4))
         seen = []
         monkeypatch.setattr(
             chain_solver, "check_memory", lambda memo: seen.append(solver.nodes_expanded)
         )
-        solver.solve(20)
-        solver.solve(24)  # the cadence runs on across solves of one memo
+        solver.solve(16)
+        solver.solve(20)  # the cadence runs on across solves of one memo
         assert solver.nodes_expanded > CHECK_EVERY
         assert seen == list(range(1, solver.nodes_expanded + 1, CHECK_EVERY))
 
-    @pytest.mark.parametrize("solver_class", [ChainSolver, CappedChainSolver])
-    def test_memo_holds_each_expanded_state_once(self, solver_class):
+    def test_dropped_solver_freed_without_collector(self):
+        # Reference counting alone frees a solved solver, and with it its
+        # memo: nothing the search holds refers back to the solver.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver = ChainSolver(GameParams(4, 4))
+            solver.solve(12)
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_memo_holds_each_expanded_state_once(self):
         # The memo never outgrows the node count, across solves sharing one
         # memo, so the guard's check every CHECK_EVERY nodes tracks its growth.
         for a, d in [(3, 3), (4, 3), (3, 5)]:
             for mode in (Mode.NORMAL, Mode.MISERE):
-                solver = solver_class(GameParams(a, d, mode))
+                solver = ChainSolver(GameParams(a, d, mode))
                 for n in range(1, 21):
                     solver.solve(n)
                     assert solver.nodes_expanded == solver.memo_size, (a, d, mode, n)
 
-    def test_deck_size_limit(self):
-        # The largest deck whose gaps fit a packed field still solves; one
-        # more card is refused before any search instead of aliasing states.
-        for a, d, mode in [(2, 2, Mode.NORMAL), (3, 3, Mode.NORMAL), (3, 3, Mode.MISERE)]:
-            params = GameParams(a, d, mode)
-            fits = ChainSolver(params).solve(MAX_EXACT_N)
-            assert fits.outcome is CappedChainSolver(params).solve(MAX_EXACT_N).outcome
-            solver = ChainSolver(params)
-            with pytest.raises(ValueError, match=str(MAX_EXACT_N)):
-                solver.solve(MAX_EXACT_N + 1)
-            assert solver.nodes_expanded == solver.memo_size == 0
-        assert solve_chain(GameParams(2, 2), MAX_EXACT_N).outcome is closed_form_d2(2, MAX_EXACT_N)
-        beyond = CappedChainSolver(GameParams(2, 2)).solve(10 * MAX_EXACT_N)
-        assert beyond.outcome is closed_form_d2(2, 10 * MAX_EXACT_N)
+    def test_deck_size_limit(self, solvers):
+        # No deck size is refused: clamping keeps every gap inside its field.
+        for a in (2, 3, 4):
+            for n in (32, 100, 10**6):
+                assert solve_chain(GameParams(a, 2), n).outcome is closed_form_d2(a, n)
+        for mode in (Mode.NORMAL, Mode.MISERE):
+            got = solve_chain(GameParams(3, 3, mode), 32)
+            expected = solvers.referee(3, 3, mode).solve(32)
+            assert (got.outcome, got.smallest_winning_move) == expected, mode
 
     def test_smallest_winning_move_is_smallest(self, solvers):
         # Check against direct child evaluation for a few N positions.
@@ -235,7 +252,7 @@ class TestSolveChain:
             (3, 3, 4, Mode.MISERE),
             (4, 4, 9, Mode.NORMAL),
         ]:
-            solver = solvers.exact(a, d, mode)
+            solver = solvers.product(a, d, mode)
             report = solver.solve(n)
             assert report.outcome is Outcome.N
             winners = []
@@ -327,21 +344,44 @@ class TestShiftImplication:
                             ), (a, d, n, mode)
 
 
+class TestReferee:
+    def test_matches_brute_force(self):
+        # The unclamped referee against the board-level oracle: outcome,
+        # and the smallest card whose board the oracle types P.
+        for a, d in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3)]:
+            for mode in (Mode.NORMAL, Mode.MISERE):
+                params = GameParams(a, d, mode)
+                referee = RefereeChainSearch(params)
+                for n in range(0, 7):
+                    got = referee.solve(n)
+                    if n == 0:
+                        assert got == (Outcome.D, None)
+                        continue
+                    assert got.outcome is brute_board_outcome((), n, params), (a, d, mode, n)
+                    if got.outcome is Outcome.N:
+                        smallest = min(
+                            card
+                            for card in range(1, n + 1)
+                            if brute_board_outcome((card,), n, params) is Outcome.P
+                        )
+                        assert got.smallest_winning_move == smallest, (a, d, mode, n)
+
+
 class TestCappedSolver:
     def test_agrees_with_exact(self, solvers):
         for a in range(2, 5):
             for d in range(2, 5):
                 for mode in (Mode.NORMAL, Mode.MISERE):
-                    capped = solvers.capped(a, d, mode)
+                    referee = solvers.referee(a, d, mode)
                     for n in range(0, 15):
                         assert (
-                            capped.solve(n).outcome is solvers.outcome(a, d, n, mode)
+                            referee.solve(n).outcome is solvers.outcome(a, d, n, mode)
                         ), (a, d, mode, n)
 
     def test_d2_stabilizes_at_bound(self):
         for a in (3, 4):
             bound = stabilization_bound(a, 2)
-            solver = CappedChainSolver(GameParams(a, 2))
+            solver = ChainSolver(GameParams(a, 2))
             outcomes = {solver.solve(n).outcome for n in range(bound, bound + 8)}
             assert outcomes == {closed_form_d2(a, bound)}
 
@@ -350,26 +390,26 @@ class TestCappedSolver:
         # gap, so one more solve adds no new root work.
         a, d = 3, 3
         bound = stabilization_bound(a, d)
-        solver = CappedChainSolver(GameParams(a, d))
+        solver = ChainSolver(GameParams(a, d))
         first = solver.solve(bound)
         again = solver.solve(bound + 7)
         assert first.outcome is again.outcome
         assert again.nodes_expanded == 0
 
     def test_smallest_winning_move_in_stable_regime(self, solvers):
-        # Below the bound the capped solver must report the same smallest
-        # winning move as the exact one.
+        # Below the bound the clamped search must report the same smallest
+        # winning move as the unclamped referee.
         for a, d, mode in [(3, 3, Mode.NORMAL), (3, 3, Mode.MISERE), (4, 3, Mode.MISERE)]:
-            capped = solvers.capped(a, d, mode)
-            exact = solvers.exact(a, d, mode)
+            product = solvers.product(a, d, mode)
+            referee = solvers.referee(a, d, mode)
             for n in range(0, min(stabilization_bound(a, d), 13)):
-                c, e = capped.solve(n), exact.solve(n)
+                c, e = product.solve(n), referee.solve(n)
                 assert c.outcome is e.outcome
                 assert c.smallest_winning_move == e.smallest_winning_move, (a, d, mode, n)
 
-    def test_smallest_winning_move_beyond_bound(self):
-        # From the bound on the capped root is one clamped gap of B cards,
-        # and splits past B(a, d-1) stand for cards near the top of the deck.
+    def test_smallest_winning_move_beyond_bound(self, solvers):
+        # From the bound on the clamped root is one gap of B cards, and
+        # splits past B(a, d-1) stand for cards near the top of the deck.
         cases = 0
         for a in range(2, 11):
             for d in range(2, 11):
@@ -377,10 +417,10 @@ class TestCappedSolver:
                 if bound > 20:
                     continue
                 for mode in (Mode.NORMAL, Mode.MISERE):
-                    capped = CappedChainSolver(GameParams(a, d, mode))
-                    exact = ChainSolver(GameParams(a, d, mode))
+                    product = ChainSolver(GameParams(a, d, mode))
+                    referee = solvers.referee(a, d, mode)
                     for n in range(bound, 21):
-                        c, e = capped.solve(n), exact.solve(n)
+                        c, e = product.solve(n), referee.solve(n)
                         assert c.outcome is e.outcome, (a, d, mode, n)
                         assert c.smallest_winning_move == e.smallest_winning_move, (
                             a, d, mode, n,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from monoseq import cli
-from monoseq.chain_solver import MAX_EXACT_N, CappedChainSolver, ChainSolver, stabilization_bound
+from monoseq import cli, errors
+from monoseq.chain_solver import ChainSolver, closed_form_d2, closed_form_d3, stabilization_bound
 from monoseq.cli import emit_table, parse_table_json, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
 from monoseq.order_core import GameParams, Mode, Outcome
@@ -45,13 +47,13 @@ class TestSolveCommands:
         assert payload["mode"] == "normal"
         assert payload["memo_entries"] > 0
 
-    def test_solve_chain_capped_agrees(self, capsys):
-        # B(3, 3) = 11: the exact search runs below it, the clamped one from
-        # it on, and the JSON counts are those of the search that ran.
+    def test_solve_chain_reports_solver_counts(self, capsys):
+        # B(3, 3) = 11: below, at and past the bound the JSON counts are
+        # those of a fresh ChainSolver.
         params = GameParams(3, 3)
         base = ("solve", "chain", "--a", "3", "--d", "3", "--n")
-        for n, solver_class in [(9, ChainSolver), (11, CappedChainSolver), (40, CappedChainSolver)]:
-            solver = solver_class(params)
+        for n in (9, 11, 40):
+            solver = ChainSolver(params)
             report = solver.solve(n)
             code, out, _ = invoke(capsys, *base, str(n))
             assert code == 0
@@ -63,18 +65,28 @@ class TestSolveCommands:
             assert payload["nodes_expanded"] == report.nodes_expanded
             assert payload["memo_entries"] == solver.memo_size, n
 
-    def test_solve_chain_deck_size_limit(self, capsys):
-        # Past the exact search's deck limit the clamped search runs, also
-        # below the bound: B(2, 2) = 3, B(4, 4) = 39.
-        base = ("solve", "chain", "--a", "2", "--d", "2", "--n")
-        for n in (MAX_EXACT_N, MAX_EXACT_N + 1):
-            code, out, _ = invoke(capsys, *base, str(n))
-            assert code == 0
-            assert out.strip() == "P"
-        n = MAX_EXACT_N + 1
-        solver = CappedChainSolver(GameParams(4, 4))
-        report = solver.solve(n)
-        code, out, _ = invoke(capsys, "solve", "chain", "--a", "4", "--d", "4", "--n", str(n), "--json")
+    def test_solve_chain_deck_size_limit(self, capsys, solvers):
+        # No deck size is refused, below the bound either: B(4, 4) = 39.
+        for a in (2, 3):
+            for n in (32, 100, 10**6):
+                code, out, _ = invoke(
+                    capsys, "solve", "chain", "--a", str(a), "--d", "2", "--n", str(n)
+                )
+                assert code == 0
+                assert out.strip() == closed_form_d2(a, n).value
+        expected = solvers.referee(3, 3).solve(32)
+        code, out, _ = invoke(
+            capsys, "solve", "chain", "--a", "3", "--d", "3", "--n", "32", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcome"] == expected.outcome.value
+        assert payload["smallest_winning_move"] == expected.smallest_winning_move
+        solver = ChainSolver(GameParams(4, 4))
+        report = solver.solve(32)
+        code, out, _ = invoke(
+            capsys, "solve", "chain", "--a", "4", "--d", "4", "--n", "32", "--json"
+        )
         assert code == 0
         payload = json.loads(out)
         assert payload["outcome"] == report.outcome.value
@@ -83,17 +95,17 @@ class TestSolveCommands:
     @pytest.mark.parametrize("mode", ["normal", "misere"])
     @pytest.mark.parametrize("a,d", [(3, 4), (4, 3), (5, 3), (3, 5)])
     def test_solve_chain_from_bound_matches_exact(self, capsys, solvers, a, d, mode):
-        exact = solvers.exact(a, d, Mode(mode))
-        for n in range(stabilization_bound(a, d), MAX_EXACT_N + 1):
-            report = exact.solve(n)
+        referee = solvers.referee(a, d, Mode(mode))
+        for n in range(stabilization_bound(a, d), 32):
+            expected = referee.solve(n)
             code, out, _ = invoke(
                 capsys, "solve", "chain", "--a", str(a), "--d", str(d), "--n", str(n),
                 "--mode", mode, "--json",
             )
             assert code == 0
             payload = json.loads(out)
-            assert payload["outcome"] == report.outcome.value, n
-            assert payload["smallest_winning_move"] == report.smallest_winning_move, n
+            assert payload["outcome"] == expected.outcome.value, n
+            assert payload["smallest_winning_move"] == expected.smallest_winning_move, n
 
     def test_solve_q(self, capsys):
         code, out, _ = invoke(capsys, "solve", "q", "--a", "6", "--d", "3")
@@ -182,6 +194,33 @@ class TestSolveCommands:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: memory budget exceeded")
         assert proc.stderr.count("\n") == 1
+
+    def test_cgroup_limit_bounds_budget(self, capsys, tmp_path, monkeypatch):
+        # The budget is at most half the room left under the cgroup v2
+        # memory.max of the process's cgroup.
+        (tmp_path / "cgroup").write_text("4:memory:/elsewhere\n0::/outer/inner\n")
+        group = tmp_path / "fs" / "outer" / "inner"
+        group.mkdir(parents=True)
+        (group / "memory.max").write_text("max\n")
+        (group / "memory.current").write_text("100000000\n")
+        budget = functools.lru_cache(errors.memory_budget.__wrapped__)
+        monkeypatch.setattr(errors, "memory_budget", budget)
+        monkeypatch.setattr(errors, "PROC_CGROUP", str(tmp_path / "missing"))
+        assert errors.cgroup_headroom() == math.inf
+        unlimited = budget()
+        monkeypatch.setattr(errors, "PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(errors, "CGROUP_ROOT", str(tmp_path / "fs"))
+        assert errors.cgroup_headroom() == math.inf
+        (group / "memory.max").write_text("300000000\n")
+        assert errors.cgroup_headroom() == 200_000_000
+        budget.cache_clear()
+        assert budget() == min(unlimited, errors.MEMORY_FRACTION * 200_000_000)
+        (group / "memory.max").write_text("101000000\n")
+        budget.cache_clear()
+        code, out, err = invoke(capsys, "solve", "chain", "--a", "4", "--d", "4", "--n", "12")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: memory budget exceeded")
 
     def test_memory_error_exit_code(self, capsys, monkeypatch):
         def exhausted(a, d):
@@ -417,6 +456,19 @@ class TestGoldenData:
         )
         assert code == 0
         assert "0 failed" in out
+
+    def test_verify_golden_rows_past_31(self, capsys, tmp_path):
+        # Any deck size solves: closed-form rows at n = 32 and 40.
+        rows = [(a, 2, n, Mode.NORMAL, closed_form_d2(a, n)) for a in (3, 4) for n in (32, 40)]
+        rows += [(a, 3, n, Mode.NORMAL, closed_form_d3(a, n)) for a in (3, 4) for n in (32, 40)]
+        path = tmp_path / "golden.csv"
+        path.write_text(dump_csv_rows(rows))
+        code, out, _ = invoke(
+            capsys, "verify", "--suite", "normal-results", "--max-n", "40",
+            "--golden", str(path),
+        )
+        assert code == 0
+        assert "SUITE normal-results: 8 passed, 0 failed" in out
 
     def test_corrupt_csv_raises(self, capsys, tmp_path):
         text = "a,d,n,mode,outcome\n3,3,1,misere,D\n3,3,2,misere,X\n"
