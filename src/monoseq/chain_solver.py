@@ -18,9 +18,11 @@ and the interned word id sits above the a+d-1 gap fields a live word can
 have.  Merges only add adjacent fields, so the clamped children of one
 gap form at most three arithmetic runs in l.
 
-Moves are enumerated in increasing card order and the only pruning is the
-usual cutoff once a P child proves the position N; the smallest winning
-first move therefore falls out of the root scan for free.
+Moves are enumerated in increasing card order, with the usual cutoff once
+a P child proves the position N; the smallest winning first move
+therefore falls out of the root scan for free.  In normal play a child
+with a card in a critical gap is N (the opponent completes a critical
+sequence), so it is skipped without being searched or memoized.
 """
 
 from __future__ import annotations
@@ -147,40 +149,51 @@ def _make_search(params: GameParams, memo: dict, counter: list):
     shift = bits * (a + d - 1)
     gmask = (1 << shift) - 1
     word_rows: dict[int, tuple] = {}
+    memo_get = memo.get
     next_check = 1
 
     def build(wid: int) -> tuple:
-        """(gap shift, critical, split data) for each gap of the word.
+        """(gap shift, skip mask, child critical mask, split data) for each
+        playable gap of the word.
 
         Split data turns the parent's gap fields into the l = 0 child and
         clamps it; only the fields pl and pl + 1 that the split fills vary
-        with l.  Critical gaps are left out in misere play, where they are
-        never played.
+        with l.  Critical gaps are left out: in misere play they are never
+        played, and in normal play a state with a card in one is N, so no
+        parent searches it.  The skip mask marks the parent fields that
+        fill a child's critical gap for every l; a critical pl (pl + 1)
+        leaves only l = 0 (l = gj - 1), and the critical mask marks it for
+        the root scan, which splits every l.
         """
         held = _gap_bounds(wid, a, d)
         rows = []
         for j, cid, cr, cb, rt, ls in _transitions(wid):
             sj = bits * j
             if cr >= a or cb >= d:
-                if normal:
-                    rows.append((sj, True, None))
                 continue
             pl = j - (ls >= 0)  # the field holding l once merges are done
             pr = pl + 1
             bounds = _gap_bounds(cid, a, d)
-            # The most each other child field can hold, its parent fields
-            # being clamped: only a field whose threshold is below that
-            # needs clamping.
-            most = [*held[:j], 0, 0, *held[j + 1 :]]
-            if rt >= 0:
-                most[rt] += most.pop(rt + 1)
-            if ls >= 0:
-                most[ls] += most.pop(ls + 1)
+            # The parent fields each child field sums.  Only a field whose
+            # threshold is below what they can hold, clamped, needs clamping.
+            source = [[i] for i in range(len(held))]
+            source[j : j + 1] = [[], []]
+            for i in (rt, ls):
+                if i >= 0:
+                    source[i] += source.pop(i + 1)
+            skip = crit = 0
+            if normal:
+                for i, _, ccr, ccb, _, _ in _transitions(cid):
+                    if ccr >= a or ccb >= d:
+                        skip |= sum(fmask << bits * f for f in source[i])
+                        if i == pl or i == pr:
+                            crit |= fmask << bits * i
             others = tuple(
                 (bits * i, b)
                 for i, b in enumerate(bounds)
-                if most[i] > b and i != pl and i != pr
+                if sum(held[f] for f in source[i]) > b and i != pl and i != pr
             )
+            ends = (crit >> bits * pl & 1) | (crit >> bits * pr & 1) << 1
             data = (
                 (1 << sj) - 1,
                 sj + bits,
@@ -195,15 +208,17 @@ def _make_search(params: GameParams, memo: dict, counter: list):
                 bits * pr,
                 bounds[pr],
                 1 << bits * pr,
+                ends,
             )
-            rows.append((sj, False, data))
+            rows.append((sj, skip, crit, data))
         out = word_rows[wid] = tuple(rows)
         return out
 
     def split(g: int, gj: int, data: tuple) -> Sequence[int]:
         """Clamped child states of splitting gap field j of g (holding gj
-        cards), in ascending card order, each distinct child once."""
-        low, s1, s2, rmerge, lmerge, cid_hi, others, sl, bl, fl, sr, br, fr = data
+        cards), in ascending card order, each distinct child once; for a
+        critical pl or pl + 1, only the child that leaves it empty."""
+        low, s1, s2, rmerge, lmerge, cid_hi, others, sl, bl, fl, sr, br, fr, ends = data
         child = g & low | (gj - 1) << s1 | g >> s1 << s2
         if rmerge is not None:
             mask, hi, lo = rmerge
@@ -218,6 +233,14 @@ def _make_search(params: GameParams, memo: dict, counter: list):
         left = child >> sl & fmask
         right = child >> sr & fmask
         rest = child - (left << sl) - (right << sr) + cid_hi
+        if ends:
+            # Only the children whose critical fields stay empty; the skip
+            # mask has made left (right) 0 for a critical pl (pl + 1).
+            if ends == 1:
+                return (rest + (min(right, br) << sr),)
+            if ends == 2:
+                return (rest + (min(left + gj - 1, bl) << sl),)
+            return (rest,) if gj == 1 else ()
         if gj == 1:
             # One card, one child.
             return (rest + (min(left, bl) << sl) + (min(right, br) << sr),)
@@ -249,11 +272,15 @@ def _make_search(params: GameParams, memo: dict, counter: list):
         out += range(tail + (right - hi << sr), tail + (right - gj << sr), -fr)
         return out
 
-    def value(state: int, m: int) -> int:
+    def value(state: int) -> int:
         nonlocal next_check
-        v = memo.get(state)
+        v = memo_get(state)
         if v is not None:
             return v
+        g = state & gmask
+        if not g:
+            # Every card is played and no critical sequence formed.
+            return _D
         counter[0] += 1
         if counter[0] >= next_check:
             check_memory(memo)
@@ -262,23 +289,16 @@ def _make_search(params: GameParams, memo: dict, counter: list):
         rows = word_rows.get(wid)
         if rows is None:
             rows = build(wid)
-        g = state & gmask
-        m1 = m - 1
         result = -1
         saw_draw = False
-        for sj, critical, data in rows:
+        for sj, skip, _, data in rows:
             gj = g >> sj & fmask
-            if not gj:
-                continue
-            if critical:
-                # Any card in this gap completes a critical sequence.
-                result = _N
-                break
-            if m == 1:
-                saw_draw = True
+            if not gj or g & skip:
                 continue
             for child in split(g, gj, data):
-                cv = value(child, m1)
+                cv = memo_get(child)
+                if cv is None:
+                    cv = value(child)
                 if cv == _P:
                     result = _N
                     break
@@ -353,11 +373,14 @@ class ChainSolver:
         """
         value = self._value
         gap = min(n, self._bound)
-        ((_, _, data),) = self._word_rows(_wid(""))
+        ((_, _, crit, data),) = self._word_rows(_wid(""))
         lo = large_gap_bound(self.params.a, self.params.d - 1)
         saw_draw = False
-        for l, child in enumerate(self._split(gap, gap, data)):
-            cv = value(child, n - 1)
+        for l, child in enumerate(self._split(gap, gap, data[:-1] + (0,))):
+            if child & crit:
+                # The opponent completes a critical sequence: N.
+                continue
+            cv = value(child)
             if cv == _P:
                 return _N, (l + 1 if l <= lo else n - (gap - 1 - l))
             if cv == _D:
