@@ -192,10 +192,10 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 # Interned colour words: the one implementation of the move operator.
 #
 # Every solver that plays on colour words shares this table.  A word is
-# interned once as a small int id with its (reddish, bluish) counts; the
-# move operator runs once per word and caches two views of its result:
-# per-gap transitions for the chain solvers and deduplicated child ids for
-# the dense-order solver.  The operator maps admissible words to admissible
+# interned once as a small int id with its (reddish, bluish) counts; each
+# of two cached views runs the move operator once per word: per-gap
+# transitions for the chain solvers and deduplicated child ids for the
+# dense-order solver.  The operator maps admissible words to admissible
 # words, so only words entering from outside are validated (by callers).
 # Count pairs take few distinct values and are shared between words.
 #

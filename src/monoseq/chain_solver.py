@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -135,10 +136,10 @@ def _gap_bounds(wid: int, a: int, d: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def _make_search(params: GameParams, memo: dict, counter: list):
-    """The (value, split, word rows) functions of one solver.  They hold
-    nothing that refers back to the solver, so a dropped solver and its
-    memo are freed at once, not at the next cyclic collection."""
+def _make_search(params: GameParams, memo: dict):
+    """The (value, split, word rows, close) functions of one solver.  They
+    hold nothing that refers back to the solver, but ``value`` holds itself
+    through its closure cell, and with it the memo, until ``close`` runs."""
     a, d = params.a, params.d
     normal = params.mode is Mode.NORMAL
     # A clamped gap holds at most B(a, d) cards, and so does any merge of
@@ -150,7 +151,6 @@ def _make_search(params: GameParams, memo: dict, counter: list):
     gmask = (1 << shift) - 1
     word_rows: dict[int, tuple] = {}
     memo_get = memo.get
-    next_check = 1
 
     def build(wid: int) -> tuple:
         """(gap shift, skip mask, child critical mask, split data) for each
@@ -273,7 +273,6 @@ def _make_search(params: GameParams, memo: dict, counter: list):
         return out
 
     def value(state: int) -> int:
-        nonlocal next_check
         v = memo_get(state)
         if v is not None:
             return v
@@ -281,10 +280,6 @@ def _make_search(params: GameParams, memo: dict, counter: list):
         if not g:
             # Every card is played and no critical sequence formed.
             return _D
-        counter[0] += 1
-        if counter[0] >= next_check:
-            check_memory(memo)
-            next_check += CHECK_EVERY
         wid = state >> shift
         rows = word_rows.get(wid)
         if rows is None:
@@ -308,9 +303,16 @@ def _make_search(params: GameParams, memo: dict, counter: list):
                 break
         out = result if result >= 0 else (_D if saw_draw else _P)
         memo[state] = out
+        if len(memo) % CHECK_EVERY == 1:
+            check_memory(memo)
         return out
 
-    return value, split, build
+    def close() -> None:
+        """Empty value's cell: the closures and the memo are then freed."""
+        nonlocal value
+        del value
+
+    return value, split, build, close
 
 
 class ChainSolver:
@@ -325,24 +327,22 @@ class ChainSolver:
     parameters reuses the memo.  Deterministic and single-threaded:
     outcomes, smallest winning moves and node counts repeat exactly run to
     run.  Each expanded state is memoized once and nothing else is, so
-    after every solve ``memo_size == nodes_expanded``; memory is checked
-    as the memo grows.
+    the memo size is the node count; memory is checked as the memo grows.
+    The memo is freed with the solver.
     """
 
     def __init__(self, params: GameParams):
         self.params = params
         self._bound = stabilization_bound(params.a, params.d)
         self._memo: dict = {}
-        self._counter = [0]
-        self._value, self._split, self._word_rows = _make_search(params, self._memo, self._counter)
+        self._value, self._split, self._word_rows, close = _make_search(params, self._memo)
+        weakref.finalize(self, close)
 
     @property
     def nodes_expanded(self) -> int:
-        return self._counter[0]
-
-    @property
-    def memo_size(self) -> int:
         return len(self._memo)
+
+    memo_size = nodes_expanded
 
     def solve(self, n: int) -> SolveReport:
         """Outcome of the empty board of (a, d, [n])."""
@@ -353,14 +353,10 @@ class ChainSolver:
         if n < min(a, d):
             # The deck is too small for any critical sequence to ever form.
             return SolveReport(Outcome.D, 0, None, time.perf_counter() - t0)
-        start_nodes = self._counter[0]
+        start_nodes = len(self._memo)
         outcome, swm = self._solve_root(n)
-        return SolveReport(
-            _OUT[outcome],
-            self._counter[0] - start_nodes,
-            swm,
-            time.perf_counter() - t0,
-        )
+        nodes = len(self._memo) - start_nodes
+        return SolveReport(_OUT[outcome], nodes, swm, time.perf_counter() - t0)
 
     def _solve_root(self, n: int) -> tuple[int, Optional[int]]:
         """Scan the root's splits in ascending card order.

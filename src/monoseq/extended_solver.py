@@ -188,7 +188,10 @@ def _solve_extended_types(a: int, d: int) -> dict[Perm, int]:
             check_memory(memo)
         return t
 
-    value(())
+    try:
+        value(())
+    finally:
+        del value
     return memo
 
 

@@ -417,7 +417,10 @@ def solve_poset(deck, params: GameParams) -> Outcome:
             check_memory(memo)
         return out
 
-    return _OUT[value(0)]
+    try:
+        return _OUT[value(0)]
+    finally:
+        del value
 
 
 def draw_reachable(deck, params: GameParams) -> bool:
@@ -458,7 +461,10 @@ def draw_reachable(deck, params: GameParams) -> bool:
             check_memory(dead)
         return False
 
-    return rec(0)
+    try:
+        return rec(0)
+    finally:
+        del rec
 
 
 # ---------------------------------------------------------------------------

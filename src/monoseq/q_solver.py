@@ -82,9 +82,9 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     right (left) end completes a critical sequence.  Every typed word is
     exact either way, but the cutoff map holds only the words it visited.
 
-    The reachable non-terminal graph must be acyclic and every play is
-    bounded by (a-1)(d-1)+1 moves; both are asserted on every expanded
-    word and violations raise rather than loop.
+    The reachable non-terminal graph must be acyclic and every play, whose
+    length is the stack size, is bounded by (a-1)(d-1)+1 moves; both are
+    asserted on every expanded word and violations raise rather than loop.
     """
     a, d = params.a, params.d
     normal = params.mode is Mode.NORMAL
@@ -94,7 +94,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     types: dict[int, int] = {}
     on_stack: set[int] = set()
 
-    def visit(wid: int, depth: int) -> int:
+    def visit(wid: int) -> int:
         t = types.get(wid)
         if t is not None:
             return t
@@ -106,7 +106,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
                 "cycle among non-terminal colour words; this contradicts the "
                 "Erdos-Szekeres bound on play length"
             )
-        elif depth > depth_limit:
+        elif len(on_stack) > depth_limit:
             raise InvariantError(
                 f"search depth exceeded the play-length bound {depth_limit}"
             )
@@ -116,7 +116,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
             on_stack.add(wid)
             t = _P
             for child in _child_ids(wid):
-                if visit(child, depth + 1) == _P:
+                if visit(child) == _P:
                     t = _N
                     if cutoff:
                         break
@@ -126,7 +126,10 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
             check_memory(types)
         return t
 
-    visit(_EMPTY, 0)
+    try:
+        visit(_EMPTY)
+    finally:
+        del visit
     return types
 
 
@@ -326,22 +329,21 @@ def solve_q_forbidden(params: GameParams) -> Outcome:
         if v is not None:
             return v
         r, b = _word_counts[wid]
-        if r >= a - 1 or b >= d - 1:
-            # The mover completes a critical sequence at once (insert at the
-            # far end past everything reddish, or below everything bluish).
-            memo[wid] = _N
-            return _N
-        allowed = []
-        for child in _child_ids(wid):
-            cr, cb = _word_counts[child]
-            if cr < a - 1 and cb < d - 1:
-                allowed.append(child)
-        if not allowed:
-            # Forced to move suicidally; the opponent wins immediately.
-            memo[wid] = _P
-            return _P
-        t = _N if any(value(c) == _P for c in allowed) else _P
+        # Near-terminal: the mover completes a critical sequence at once.  Else
+        # P unless an allowed move reaches P, so P if every move is suicidal.
+        t = _N if r >= a - 1 or b >= d - 1 else _P
+        if t == _P:
+            for child in _child_ids(wid):
+                cr, cb = _word_counts[child]
+                if cr < a - 1 and cb < d - 1 and value(child) == _P:
+                    t = _N
+                    break
         memo[wid] = t
+        if len(memo) % CHECK_EVERY == 1:
+            check_memory(memo)
         return t
 
-    return _OUT[value(_EMPTY)]
+    try:
+        return _OUT[value(_EMPTY)]
+    finally:
+        del value

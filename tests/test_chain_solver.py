@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import gc
 import random
-import weakref
 
 import pytest
 
@@ -17,12 +16,20 @@ from monoseq import (
     Outcome,
     ResourceLimitError,
     SolveReport,
+    boolean_lattice,
     canonical_state,
     closed_form_d2,
     closed_form_d3,
+    draw_reachable,
     large_gap_bound,
+    principal_variation,
     solve_chain,
+    solve_extended,
+    solve_poset,
+    solve_q,
+    solve_q_forbidden,
     stabilization_bound,
+    typed_reachable_graph,
     verify_shift_implication,
 )
 from monoseq import chain_solver
@@ -195,6 +202,22 @@ class TestSolveChain:
                     expected = brute_board_outcome((), n, GameParams(a, d, mode))
                     assert got is expected, (a, d, mode, n)
 
+    @pytest.mark.parametrize(
+        "a,d,mode,nodes",
+        [
+            (6, 4, Mode.NORMAL, 79_979),
+            (7, 3, Mode.NORMAL, 67_464),
+            (5, 4, Mode.MISERE, 21_841),
+            (6, 3, Mode.MISERE, 5_573),
+            pytest.param(7, 4, Mode.MISERE, 346_087, marks=pytest.mark.full),
+        ],
+    )
+    def test_node_counts_pinned(self, a, d, mode, nodes):
+        # Node counts are deterministic: a change to the search shows here.
+        solver = ChainSolver(GameParams(a, d, mode))
+        total = sum(solver.solve(n).nodes_expanded for n in range(1, 21))
+        assert total == solver.nodes_expanded == nodes
+
     def test_memory_guard(self, zero_budget):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
             ChainSolver(GameParams(4, 4)).solve(12)
@@ -210,30 +233,44 @@ class TestSolveChain:
         assert solver.nodes_expanded > CHECK_EVERY
         assert seen == list(range(1, solver.nodes_expanded + 1, CHECK_EVERY))
 
-    def test_dropped_solver_freed_without_collector(self):
-        # Reference counting alone frees a solved solver, and with it its
-        # memo: nothing the search holds refers back to the solver.
+    @pytest.mark.parametrize(
+        "search, guarded",
+        [
+            (lambda: ChainSolver(GameParams(4, 4)).solve(10), False),
+            (lambda: solve_poset(boolean_lattice(3), GameParams(3, 3)), False),
+            (lambda: draw_reachable(FiniteChain(8), GameParams(4, 4)), False),
+            (lambda: solve_extended(4, 4), False),
+            (lambda: principal_variation(4, 3), False),
+            (lambda: solve_q(GameParams(4, 4)), False),
+            (lambda: typed_reachable_graph(GameParams(4, 4)), False),
+            (lambda: solve_q_forbidden(GameParams(4, 4)), False),
+            (lambda: solve_poset(boolean_lattice(3), GameParams(3, 3)), True),
+        ],
+        ids=[
+            "ChainSolver", "solve_poset", "draw_reachable", "solve_extended",
+            "principal_variation", "solve_q", "typed_reachable_graph",
+            "solve_q_forbidden", "solve_poset-guard-fires",
+        ],
+    )
+    def test_search_frees_memo_without_collector(self, request, search, guarded):
+        # Reference counting alone frees every memo once its search ends,
+        # also when the memory guard stops it: no search leaves a cycle.
+        if guarded:
+            request.getfixturevalue("zero_budget")
         enabled = gc.isenabled()
         gc.disable()
         try:
-            solver = ChainSolver(GameParams(4, 4))
-            solver.solve(12)
-            ref = weakref.ref(solver)
-            del solver
-            assert ref() is None
+            gc.collect()
+            try:
+                search()
+                raised = False
+            except ResourceLimitError:
+                raised = True
+            assert raised is guarded
+            assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()
-
-    def test_memo_holds_each_expanded_state_once(self):
-        # The memo never outgrows the node count, across solves sharing one
-        # memo, so the guard's check every CHECK_EVERY nodes tracks its growth.
-        for a, d in [(3, 3), (4, 3), (3, 5)]:
-            for mode in (Mode.NORMAL, Mode.MISERE):
-                solver = ChainSolver(GameParams(a, d, mode))
-                for n in range(1, 21):
-                    solver.solve(n)
-                    assert solver.nodes_expanded == solver.memo_size, (a, d, mode, n)
 
     def test_deck_size_limit(self, solvers):
         # No deck size is refused: clamping keeps every gap inside its field.
@@ -407,9 +444,11 @@ class TestCappedSolver:
                 assert c.outcome is e.outcome
                 assert c.smallest_winning_move == e.smallest_winning_move, (a, d, mode, n)
 
-    def test_smallest_winning_move_beyond_bound(self, solvers):
+    def test_smallest_winning_move_beyond_bound(self):
         # From the bound on the clamped root is one gap of B cards, and
         # splits past B(a, d-1) stand for cards near the top of the deck.
+        # Each row's referee memo is dropped with the row, not kept for the
+        # session.
         cases = 0
         for a in range(2, 11):
             for d in range(2, 11):
@@ -418,7 +457,7 @@ class TestCappedSolver:
                     continue
                 for mode in (Mode.NORMAL, Mode.MISERE):
                     product = ChainSolver(GameParams(a, d, mode))
-                    referee = solvers.referee(a, d, mode)
+                    referee = RefereeChainSearch(GameParams(a, d, mode))
                     for n in range(bound, 21):
                         c, e = product.solve(n), referee.solve(n)
                         assert c.outcome is e.outcome, (a, d, mode, n)

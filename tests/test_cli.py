@@ -18,6 +18,8 @@ from monoseq.cli import emit_table, parse_table_json, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
 from monoseq.order_core import GameParams, Mode, Outcome
 
+from conftest import RefereeChainSearch
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -94,8 +96,9 @@ class TestSolveCommands:
 
     @pytest.mark.parametrize("mode", ["normal", "misere"])
     @pytest.mark.parametrize("a,d", [(3, 4), (4, 3), (5, 3), (3, 5)])
-    def test_solve_chain_from_bound_matches_exact(self, capsys, solvers, a, d, mode):
-        referee = solvers.referee(a, d, Mode(mode))
+    def test_solve_chain_from_bound_matches_exact(self, capsys, a, d, mode):
+        # A fresh referee: its memo is dropped with the row.
+        referee = RefereeChainSearch(GameParams(a, d, Mode(mode)))
         for n in range(stabilization_bound(a, d), 32):
             expected = referee.solve(n)
             code, out, _ = invoke(

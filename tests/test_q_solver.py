@@ -122,7 +122,7 @@ class TestSolveQ:
                 params = GameParams(a, d, mode)
                 assert solve_q(params) is typed_reachable_graph(params)[""], params
 
-    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph, solve_q_forbidden])
     def test_memory_guard(self, zero_budget, solve):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
             solve(GameParams(4, 4))
