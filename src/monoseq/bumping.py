@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 ColourWord = str
 
@@ -192,12 +192,17 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 # Interned colour words: the one implementation of the move operator.
 #
 # Every solver that plays on colour words shares this table.  A word is
-# interned once as a small int id with its (reddish, bluish) counts; each
-# of two cached views runs the move operator once per word: per-gap
-# transitions for the chain solvers and deduplicated child ids for the
-# dense-order solver.  The operator maps admissible words to admissible
-# words, so only words entering from outside are validated (by callers).
-# Count pairs take few distinct values and are shared between words.
+# interned once as a small int id with its (reddish, bluish) counts.  Two
+# caches hang off each word.  The chain solvers' per-gap transitions are
+# built in one pass.  The dense-order solver's child id per gap is a list
+# in which None marks a gap not yet built, and a tuple once every gap is:
+# full typing builds a word's whole list in one pass, while the cutoff
+# search builds only the gaps it reaches and never one whose child passes
+# its caps.  Both views play a gap through _play, the one place where the
+# bumping rule is written.  The operator maps admissible words to
+# admissible words, so only words entering from outside are validated (by
+# callers).  Count pairs take few distinct values and are shared between
+# words.
 #
 # The table is process-global and grows without bound; interning is
 # check-then-act without a lock, so it must not be shared across threads.
@@ -206,7 +211,7 @@ _word_ids: dict[str, int] = {}
 _word_text: list[str] = []
 _word_counts: list[tuple[int, int]] = []
 _word_trans: list[Optional[tuple]] = []
-_word_kids: list[Optional[tuple]] = []
+_word_kids: list[Optional[Sequence[Optional[int]]]] = []
 _count_pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
 
@@ -228,19 +233,41 @@ def _wid(word: str) -> int:
     return wid
 
 
-def _moves(wid: int) -> list[tuple[int, int, int, int, int, int]]:
-    """Play a card into every gap j of the word: (j, child id, child
-    reddish, child bluish, rmerge, lmerge) for j = 0..len.
+def _play(wid: int, j: int, nr: int, lb: int) -> tuple[int, int, int, int, int, int]:
+    """Play a card into gap j of the word: (j, child id, child reddish,
+    child bluish, rmerge, lmerge).
 
-    The P enters at j; the first reddish letter at or after j (index nr)
-    loses its red tinge and the last bluish letter before j (index lb) its
-    blue tinge.  rmerge/lmerge index the left gap of a pair of adjacent gaps
-    that a deleted letter merges in the vector (gaps[:j], l, r, gaps[j+1:]),
-    or are -1; rmerge is applied first.
+    The P enters at j; the first reddish letter at or after j (index nr, or
+    the word's length if none) loses its red tinge and the last bluish
+    letter before j (index lb, or -1) its blue tinge.  rmerge/lmerge index
+    the left gap of a pair of adjacent gaps that a deleted letter merges in
+    the vector (gaps[:j], l, r, gaps[j+1:]), or are -1; rmerge is applied
+    first.
     """
     word = _word_text[wid]
     r, b = _word_counts[wid]
-    ids = _word_ids
+    if nr == len(word):
+        tail, cr, rmerge = word[j:], r + 1, -1
+    elif word[nr] == RED:
+        tail, cr, rmerge = word[j:nr] + word[nr + 1 :], r, nr + 1
+    else:
+        tail, cr, rmerge = word[j:nr] + BLUE + word[nr + 1 :], r, -1
+    if lb < 0:
+        head, cb, lmerge = word[:j], b + 1, -1
+    elif word[lb] == BLUE:
+        head, cb, lmerge = word[:lb] + word[lb + 1 : j], b, lb
+    else:
+        head, cb, lmerge = word[:lb] + RED + word[lb + 1 : j], b, -1
+    child = head + PURPLE + tail
+    cid = _word_ids.get(child)
+    if cid is None:
+        cid = _intern(child, (cr, cb))
+    return j, cid, cr, cb, rmerge, lmerge
+
+
+def _moves(wid: int) -> list[tuple[int, int, int, int, int, int]]:
+    """The move of every gap j = 0..len in one pass (see _play)."""
+    word = _word_text[wid]
     k = len(word)
     next_red = [k] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -250,24 +277,7 @@ def _moves(wid: int) -> list[tuple[int, int, int, int, int, int]]:
     for j in range(k + 1):
         if j and word[j - 1] != RED:
             lb = j - 1
-        nr = next_red[j]
-        if nr == k:
-            tail, cr, rmerge = word[j:], r + 1, -1
-        elif word[nr] == RED:
-            tail, cr, rmerge = word[j:nr] + word[nr + 1 :], r, nr + 1
-        else:
-            tail, cr, rmerge = word[j:nr] + BLUE + word[nr + 1 :], r, -1
-        if lb < 0:
-            head, cb, lmerge = word[:j], b + 1, -1
-        elif word[lb] == BLUE:
-            head, cb, lmerge = word[:lb] + word[lb + 1 : j], b, lb
-        else:
-            head, cb, lmerge = word[:lb] + RED + word[lb + 1 : j], b, -1
-        child = head + PURPLE + tail
-        cid = ids.get(child)
-        if cid is None:
-            cid = _intern(child, (cr, cb))
-        out.append((j, cid, cr, cb, rmerge, lmerge))
+        out.append(_play(wid, j, next_red[j], lb))
     return out
 
 
@@ -280,8 +290,39 @@ def _transitions(wid: int) -> tuple:
 
 
 def _child_ids(wid: int) -> tuple[int, ...]:
-    """Dense-order view: distinct child ids in gap order, cached."""
+    """Dense-order view: the child id of every gap, cached.  A word with
+    any gap unbuilt gets all of them in one pass."""
     kids = _word_kids[wid]
-    if kids is None:
-        kids = _word_kids[wid] = tuple(dict.fromkeys(m[1] for m in _moves(wid)))
+    if type(kids) is not tuple:
+        kids = _word_kids[wid] = tuple([m[1] for m in _moves(wid)])
     return kids
+
+
+def _capped_child_ids(wid: int, rcap: int, bcap: int) -> Iterator[int]:
+    """Capped dense-order view: in gap order, the child ids with fewer than
+    rcap reddish and bcap bluish letters, each built when it is reached.
+
+    The word itself must lie below both caps, so a child reaches a cap only
+    by gaining a letter.  A gap adds a bluish letter exactly when every
+    letter before it is R, a prefix of the gaps, and a reddish one exactly
+    when every letter from it on is B, a suffix; the caps cut those off.
+    """
+    kids = _word_kids[wid]
+    word = _word_text[wid]
+    r, b = _word_counts[wid]
+    k = len(word)
+    if kids is None:
+        kids = _word_kids[wid] = [None] * (k + 1)
+    lo = k - len(word.lstrip(RED)) + 1 if b + 1 >= bcap else 0
+    hi = len(word.rstrip(BLUE)) if r + 1 >= rcap else k + 1
+    for j in range(lo, hi):
+        cid = kids[j]
+        if cid is None:
+            nr = j
+            while nr < k and word[nr] == BLUE:
+                nr += 1
+            lb = j - 1
+            while lb >= 0 and word[lb] == RED:
+                lb -= 1
+            cid = kids[j] = _play(wid, j, nr, lb)[1]
+        yield cid

@@ -7,9 +7,10 @@ carries ``a`` reddish or ``d`` bluish letters; in normal play the mover who
 produced it wins.
 
 ``solve_q`` (and through it ``duality_check``) stops at the first winning
-move.  ``typed_reachable_graph`` types the full reachable graph, and so do
-``position_symmetry_holds`` and ``verify_strategy_stealing_case``, which
-read it.
+move and builds only the child words that can be P positions (see
+``_typed_ints``).  ``typed_reachable_graph`` types the full reachable graph,
+and so do ``position_symmetry_holds`` and ``verify_strategy_stealing_case``,
+which read it.
 
 Besides the exact solver this module carries the P-position certificates
 for d = 4 and d = 5 and their checkers, a duality check between normal and
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bumping import (
+    _capped_child_ids,
     _child_ids,
     _wid,
     _word_counts,
@@ -59,7 +61,7 @@ def colour_children(word: str) -> tuple[str, ...]:
     """
     if not is_admissible(word):
         raise ValueError(f"word not admissible: {word!r}")
-    return tuple(_word_text[c] for c in _child_ids(_wid(word)))
+    return tuple(_word_text[c] for c in dict.fromkeys(_child_ids(_wid(word))))
 
 
 def is_terminal_q(word: str, params: GameParams) -> bool:
@@ -79,8 +81,12 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     behind ``typed_reachable_graph``.  With it (``solve_q`` only) a word
     stops expanding at its first P child, and in normal play a word with
     a-1 reddish or d-1 bluish letters is N unexpanded: inserting at the
-    right (left) end completes a critical sequence.  Every typed word is
-    exact either way, but the cutoff map holds only the words it visited.
+    right (left) end completes a critical sequence.  Such a word is never
+    P, nor is a terminal word in misere play, so the cutoff search reads
+    the capped view that leaves those children out and builds each of the
+    others only when the loop reaches it.  Every typed word is exact either
+    way, but the cutoff map holds only the words it visited, and the word
+    table gains only the children it built.
 
     The reachable non-terminal graph must be acyclic and every play, whose
     length is the stack size, is bounded by (a-1)(d-1)+1 moves; both are
@@ -95,9 +101,6 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     on_stack: set[int] = set()
 
     def visit(wid: int) -> int:
-        t = types.get(wid)
-        if t is not None:
-            return t
         r, b = _word_counts[wid]
         if r >= a or b >= d:
             t = terminal
@@ -115,8 +118,10 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
         else:
             on_stack.add(wid)
             t = _P
-            for child in _child_ids(wid):
-                if visit(child) == _P:
+            kids = _capped_child_ids(wid, near_a, near_d) if cutoff else _child_ids(wid)
+            for child in kids:
+                ct = types.get(child)
+                if (visit(child) if ct is None else ct) == _P:
                     t = _N
                     if cutoff:
                         break
@@ -154,21 +159,19 @@ def reachable_words(params: GameParams) -> tuple[str, ...]:
     """
     a, d = params.a, params.d
     seen = {_EMPTY}
+    check_memory(seen)
     order = [_EMPTY]
-    queue = [_EMPTY]
-    while queue:
-        nxt: list[int] = []
-        for wid in queue:
-            r, b = _word_counts[wid]
-            if r >= a or b >= d:
-                continue
-            for child in _child_ids(wid):
-                if child not in seen:
-                    seen.add(child)
-                    order.append(child)
-                    nxt.append(child)
-        queue = nxt
-    return tuple(_word_text[w] for w in order)
+    for wid in order:  # order grows behind the loop: it is the BFS queue
+        r, b = _word_counts[wid]
+        if r >= a or b >= d:
+            continue
+        for child in _child_ids(wid):
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+                if len(seen) % CHECK_EVERY == 1:
+                    check_memory(seen)
+    return tuple(map(_word_text.__getitem__, order))
 
 
 def duality_check(a: int, d: int) -> bool:
@@ -333,9 +336,8 @@ def solve_q_forbidden(params: GameParams) -> Outcome:
         # P unless an allowed move reaches P, so P if every move is suicidal.
         t = _N if r >= a - 1 or b >= d - 1 else _P
         if t == _P:
-            for child in _child_ids(wid):
-                cr, cb = _word_counts[child]
-                if cr < a - 1 and cb < d - 1 and value(child) == _P:
+            for child in _capped_child_ids(wid, a - 1, d - 1):
+                if value(child) == _P:
                     t = _N
                     break
         memo[wid] = t

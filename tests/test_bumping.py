@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 
 import pytest
@@ -21,7 +22,16 @@ from monoseq import (
     reverse_complement,
     solve_q,
 )
-from monoseq.bumping import _transitions, _wid, _word_counts, _word_text
+from monoseq.bumping import (
+    _capped_child_ids,
+    _child_ids,
+    _moves,
+    _transitions,
+    _wid,
+    _word_counts,
+    _word_kids,
+    _word_text,
+)
 
 from conftest import brute_lds, brute_lis
 
@@ -261,6 +271,34 @@ class TestWordTable:
                     assert _word_counts[cid] == (cr, cb) == (reddish(child), bluish(child))
                     assert (rmerge, lmerge) == (want_r, want_l)
                     assert insert_purple(word, j) == child
+
+    def test_capped_view_matches_filtered_moves(self):
+        # Caps r+1 and b+1 cut the gaps that add a letter, r+2, b+2 and none
+        # cut nothing.  Each case starts with the word's child cache empty,
+        # partly built or full; from an empty cache only the listed gaps are
+        # built.
+        for k in range(0, 10):
+            for word in enumerate_admissible(k):
+                wid = _wid(word)
+                moves = _moves(wid)
+                full = [m[1] for m in moves]
+                partial = [None if j % 2 else cid for j, cid in enumerate(full)]
+                r, b = _word_counts[wid]
+                for rcap, bcap in product((r + 1, r + 2, math.inf), (b + 1, b + 2, math.inf)):
+                    allowed = [m for m in moves if m[2] < rcap and m[3] < bcap]
+                    for cache in ("empty", "partial", "full"):
+                        _word_kids[wid] = {
+                            "empty": None, "partial": list(partial), "full": tuple(full)
+                        }[cache]
+                        assert list(_capped_child_ids(wid, rcap, bcap)) == [
+                            m[1] for m in allowed
+                        ], (word, rcap, bcap, cache)
+                        kids = _word_kids[wid]
+                        assert all(c is None or c == full[j] for j, c in enumerate(kids))
+                        if cache == "empty":
+                            built = [j for j, c in enumerate(kids) if c is not None]
+                            assert built == [m[0] for m in allowed]
+                    assert _child_ids(wid) == tuple(full)
 
     def test_interned_words_stay_admissible(self):
         # The move operator is closed on admissible words, which is why

@@ -181,6 +181,13 @@ class TestSolveCommands:
         assert err.startswith("error: memory budget exceeded")
         assert err.count("\n") == 1  # one error line, no traceback
 
+    def test_certify_memory_guard_exit_code(self, capsys, zero_budget):
+        code, out, err = invoke(capsys, "certify", "--pset", "p4", "--a", "6")
+        assert code == 3
+        assert "VERIFIED" not in out and "REFUTED" not in out
+        assert err.startswith("error: memory budget exceeded")
+        assert err.count("\n") == 1
+
     def test_address_space_limit_bounds_budget(self):
         # Under `ulimit -v` the guard fires before an allocation fails, so
         # the command ends on one error line instead of a traceback.

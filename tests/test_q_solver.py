@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from monoseq import (
@@ -29,6 +34,12 @@ from monoseq import (
 from monoseq import q_solver
 from monoseq.errors import InvariantError, ResourceLimitError
 from monoseq.q_solver import QPosition
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The child view that each search reads: the capped, lazily built one for
+# the cutoff search and the whole per-gap list for full typing.
+_KIDS = {solve_q: "_capped_child_ids", typed_reachable_graph: "_child_ids"}
 
 
 class TestColourChildren:
@@ -122,14 +133,39 @@ class TestSolveQ:
                 params = GameParams(a, d, mode)
                 assert solve_q(params) is typed_reachable_graph(params)[""], params
 
-    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph, solve_q_forbidden])
+    @pytest.mark.parametrize(
+        "solve", [solve_q, typed_reachable_graph, solve_q_forbidden, reachable_words]
+    )
     def test_memory_guard(self, zero_budget, solve):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
             solve(GameParams(4, 4))
 
+    def test_certificate_memory_guard(self, zero_budget):
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            list(exact_pset_transcript(p4_set(6), GameParams(6, 4)))
+
+    @pytest.mark.parametrize("mode, cap", [(Mode.NORMAL, 1), (Mode.MISERE, 0)])
+    def test_cutoff_builds_no_child_that_cannot_be_p(self, mode, cap):
+        # In a fresh interpreter the word table holds only what the search
+        # built: no near-terminal word in normal play, no terminal one in
+        # misere play.
+        script = (
+            "from monoseq import GameParams, Mode, solve_q\n"
+            "from monoseq.bumping import _word_counts\n"
+            f"solve_q(GameParams(8, 5, Mode.{mode.name}))\n"
+            "print(max(r for r, _ in _word_counts), max(b for _, b in _word_counts))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(8 - 1 - cap), str(5 - 1 - cap)]
+
     @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
     def test_cycle_raises(self, monkeypatch, solve):
-        monkeypatch.setattr(q_solver, "_child_ids", lambda wid: (wid,))
+        monkeypatch.setattr(q_solver, _KIDS[solve], lambda wid, *caps: (wid,))
         with pytest.raises(InvariantError, match="cycle"):
             solve(GameParams(4, 4))
 
@@ -141,7 +177,7 @@ class TestSolveQ:
                 return (0, 0)
 
         monkeypatch.setattr(q_solver, "_word_counts", NoLetters())
-        monkeypatch.setattr(q_solver, "_child_ids", lambda wid: (wid + 1,))
+        monkeypatch.setattr(q_solver, _KIDS[solve], lambda wid, *caps: (wid + 1,))
         with pytest.raises(InvariantError, match="play-length bound 10"):
             solve(GameParams(4, 4))
 
