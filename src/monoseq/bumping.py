@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 ColourWord = str
 
@@ -180,7 +180,7 @@ def insert_purple(word: ColourWord, position: int) -> ColourWord:
         raise ValueError(f"word not admissible: {word!r}")
     if not 0 <= position <= len(word):
         raise ValueError(f"position {position} out of range for {word!r}")
-    return _word_text[_transitions(_wid(word))[position][1]]
+    return _word_text[_play(_wid(word), position)[1]]
 
 
 def reverse_complement(word: ColourWord) -> ColourWord:
@@ -193,16 +193,14 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 #
 # Every solver that plays on colour words shares this table.  A word is
 # interned once as a small int id with its (reddish, bluish) counts.  Two
-# caches hang off each word.  The chain solvers' per-gap transitions are
-# built in one pass.  The dense-order solver's child id per gap is a list
-# in which None marks a gap not yet built, and a tuple once every gap is:
-# full typing builds a word's whole list in one pass, while the cutoff
-# search builds only the gaps it reaches and never one whose child passes
-# its caps.  Both views play a gap through _play, the one place where the
-# bumping rule is written.  The operator maps admissible words to
-# admissible words, so only words entering from outside are validated (by
-# callers).  Count pairs take few distinct values and are shared between
-# words.
+# caches hang off each word.  The chain solvers' per-gap move tuples are
+# built all at once.  The dense-order solver's child id per gap is a list
+# in which None marks a gap not yet built: the capped view builds only the
+# gaps it reaches, and never one whose child passes its caps.  Every gap
+# is played by _play, the one place where the bumping rule is written.
+# The operator maps admissible words to admissible words, so only words
+# entering from outside are validated (by callers).  Count pairs take few
+# distinct values and are shared between words.
 #
 # The table is process-global and grows without bound; interning is
 # check-then-act without a lock, so it must not be shared across threads.
@@ -211,7 +209,7 @@ _word_ids: dict[str, int] = {}
 _word_text: list[str] = []
 _word_counts: list[tuple[int, int]] = []
 _word_trans: list[Optional[tuple]] = []
-_word_kids: list[Optional[Sequence[Optional[int]]]] = []
+_word_kids: list[Optional[list[Optional[int]]]] = []
 _count_pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
 
@@ -233,7 +231,7 @@ def _wid(word: str) -> int:
     return wid
 
 
-def _play(wid: int, j: int, nr: int, lb: int) -> tuple[int, int, int, int, int, int]:
+def _play(wid: int, j: int) -> tuple[int, int, int, int, int, int]:
     """Play a card into gap j of the word: (j, child id, child reddish,
     child bluish, rmerge, lmerge).
 
@@ -246,7 +244,14 @@ def _play(wid: int, j: int, nr: int, lb: int) -> tuple[int, int, int, int, int, 
     """
     word = _word_text[wid]
     r, b = _word_counts[wid]
-    if nr == len(word):
+    k = len(word)
+    nr = j
+    while nr < k and word[nr] == BLUE:
+        nr += 1
+    lb = j - 1
+    while lb >= 0 and word[lb] == RED:
+        lb -= 1
+    if nr == k:
         tail, cr, rmerge = word[j:], r + 1, -1
     elif word[nr] == RED:
         tail, cr, rmerge = word[j:nr] + word[nr + 1 :], r, nr + 1
@@ -265,42 +270,20 @@ def _play(wid: int, j: int, nr: int, lb: int) -> tuple[int, int, int, int, int, 
     return j, cid, cr, cb, rmerge, lmerge
 
 
-def _moves(wid: int) -> list[tuple[int, int, int, int, int, int]]:
-    """The move of every gap j = 0..len in one pass (see _play)."""
-    word = _word_text[wid]
-    k = len(word)
-    next_red = [k] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        next_red[i] = i if word[i] != BLUE else next_red[i + 1]
-    out = []
-    lb = -1
-    for j in range(k + 1):
-        if j and word[j - 1] != RED:
-            lb = j - 1
-        out.append(_play(wid, j, next_red[j], lb))
-    return out
-
-
 def _transitions(wid: int) -> tuple:
-    """Chain view: the per-gap move tuples of _moves, cached."""
+    """Chain view: the move of every gap j = 0..len (see _play), cached."""
     trans = _word_trans[wid]
     if trans is None:
-        trans = _word_trans[wid] = tuple(_moves(wid))
+        trans = _word_trans[wid] = tuple(
+            [_play(wid, j) for j in range(len(_word_text[wid]) + 1)]
+        )
     return trans
 
 
-def _child_ids(wid: int) -> tuple[int, ...]:
-    """Dense-order view: the child id of every gap, cached.  A word with
-    any gap unbuilt gets all of them in one pass."""
-    kids = _word_kids[wid]
-    if type(kids) is not tuple:
-        kids = _word_kids[wid] = tuple([m[1] for m in _moves(wid)])
-    return kids
-
-
-def _capped_child_ids(wid: int, rcap: int, bcap: int) -> Iterator[int]:
-    """Capped dense-order view: in gap order, the child ids with fewer than
-    rcap reddish and bcap bluish letters, each built when it is reached.
+def _capped_child_ids(wid: int, rcap: float, bcap: float) -> Iterator[int]:
+    """Dense-order view: in gap order, the child ids with fewer than rcap
+    reddish and bcap bluish letters, each built when it is reached and
+    cached.  Infinite caps give every child.
 
     The word itself must lie below both caps, so a child reaches a cap only
     by gaining a letter.  A gap adds a bluish letter exactly when every
@@ -318,11 +301,5 @@ def _capped_child_ids(wid: int, rcap: int, bcap: int) -> Iterator[int]:
     for j in range(lo, hi):
         cid = kids[j]
         if cid is None:
-            nr = j
-            while nr < k and word[nr] == BLUE:
-                nr += 1
-            lb = j - 1
-            while lb >= 0 and word[lb] == RED:
-                lb -= 1
-            cid = kids[j] = _play(wid, j, nr, lb)[1]
+            cid = kids[j] = _play(wid, j)[1]
         yield cid

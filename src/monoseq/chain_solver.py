@@ -158,18 +158,20 @@ def _make_search(params: GameParams, memo: dict):
 
         Split data turns the parent's gap fields into the l = 0 child and
         clamps it; only the fields pl and pl + 1 that the split fills vary
-        with l.  Critical gaps are left out: in misere play they are never
-        played, and in normal play a state with a card in one is N, so no
-        parent searches it.  The skip mask marks the parent fields that
-        fill a child's critical gap for every l; a critical pl (pl + 1)
-        leaves only l = 0 (l = gj - 1), and the critical mask marks it for
-        the root scan, which splits every l.
+        with l.  A gap is critical, its move completing a critical
+        sequence, exactly when its large-gap bound is 1, for B(x, y) = 1
+        iff x = 1 or y = 1.  Critical gaps are left out: in misere play
+        they are never played, and in normal play a state with a card in
+        one is N, so no parent searches it.  The skip mask marks the
+        parent fields that fill a child's critical gap for every l; a
+        critical pl (pl + 1) leaves only l = 0 (l = gj - 1), and the
+        critical mask marks it for the root scan, which splits every l.
         """
         held = _gap_bounds(wid, a, d)
         rows = []
-        for j, cid, cr, cb, rt, ls in _transitions(wid):
+        for j, cid, _, _, rt, ls in _transitions(wid):
             sj = bits * j
-            if cr >= a or cb >= d:
+            if held[j] == 1:
                 continue
             pl = j - (ls >= 0)  # the field holding l once merges are done
             pr = pl + 1
@@ -183,8 +185,8 @@ def _make_search(params: GameParams, memo: dict):
                     source[i] += source.pop(i + 1)
             skip = crit = 0
             if normal:
-                for i, _, ccr, ccb, _, _ in _transitions(cid):
-                    if ccr >= a or ccb >= d:
+                for i, b in enumerate(bounds):
+                    if b == 1:
                         skip |= sum(fmask << bits * f for f in source[i])
                         if i == pl or i == pr:
                             crit |= fmask << bits * i

@@ -333,8 +333,19 @@ _SUITES = {
     "admissible-counts": _verify_admissible_counts,
 }
 
+# The verify flags that some suites read; no other suite accepts them.
+_SUITE_FLAGS = {
+    "golden": ("misere-table", "normal-results"),
+    "max_n": ("misere-table", "normal-results"),
+    "max_a": ("q-theorems",),
+}
+
 
 def _cmd_verify(args) -> int:
+    for dest, suites in _SUITE_FLAGS.items():
+        if getattr(args, dest) is not None and args.suite not in suites:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to suite {args.suite}")
     result = _SUITES[args.suite](args)
     if args.format == "json":
         print(json.dumps(result.to_json()))

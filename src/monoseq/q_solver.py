@@ -6,11 +6,13 @@ every one of which is realizable by density.  A word is terminal once it
 carries ``a`` reddish or ``d`` bluish letters; in normal play the mover who
 produced it wins.
 
-``solve_q`` (and through it ``duality_check``) stops at the first winning
-move and builds only the child words that can be P positions (see
-``_typed_ints``).  ``typed_reachable_graph`` types the full reachable graph,
-and so do ``position_symmetry_holds`` and ``verify_strategy_stealing_case``,
-which read it.
+``solve_q`` (and through it ``duality_check`` and ``solve_q_forbidden``)
+stops at the first winning move and builds only the child words that can
+be P positions (see ``_typed_ints``).  ``typed_reachable_graph`` types the
+full reachable graph, and so do ``position_symmetry_holds`` and
+``verify_strategy_stealing_case``, which read it.  Both read a word's
+children through one view, ``bumping._capped_child_ids``; full typing
+passes infinite caps.
 
 Besides the exact solver this module carries the P-position certificates
 for d = 4 and d = 5 and their checkers, a duality check between normal and
@@ -20,12 +22,12 @@ for the symmetric game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .bumping import (
     _capped_child_ids,
-    _child_ids,
     _wid,
     _word_counts,
     _word_text,
@@ -54,14 +56,21 @@ class QPosition:
 
 
 def colour_children(word: str) -> tuple[str, ...]:
-    """All words reachable from this one in a single move, deduplicated.
+    """All words reachable from this one in a single move, in
+    insertion-position order.
 
-    Children appear in insertion-position order; distinct positions can
-    yield the same child.
+    Distinct positions give distinct children.  Tag each P of a word with
+    (reddish letters before it, bluish letters after it).  A move keeps
+    the tag of every P it does not retint, and tags the P it plays into
+    gap j with (reddish letters before j, bluish letters from j on), which
+    no P of the parent has: a P before j has fewer reddish letters before
+    it, and one from j on fewer bluish letters after it.  So the child's
+    one new tag fixes j, as moving j right past any letter raises the
+    first count or lowers the second.
     """
     if not is_admissible(word):
         raise ValueError(f"word not admissible: {word!r}")
-    return tuple(_word_text[c] for c in dict.fromkeys(_child_ids(_wid(word))))
+    return tuple(_word_text[c] for c in _capped_child_ids(_wid(word), math.inf, math.inf))
 
 
 def is_terminal_q(word: str, params: GameParams) -> bool:
@@ -78,15 +87,16 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     """Type the words reachable in play of (a, d, Q), keyed by word id.
 
     Without ``cutoff`` every reachable word is typed; this is the graph
-    behind ``typed_reachable_graph``.  With it (``solve_q`` only) a word
-    stops expanding at its first P child, and in normal play a word with
-    a-1 reddish or d-1 bluish letters is N unexpanded: inserting at the
-    right (left) end completes a critical sequence.  Such a word is never
-    P, nor is a terminal word in misere play, so the cutoff search reads
-    the capped view that leaves those children out and builds each of the
-    others only when the loop reaches it.  Every typed word is exact either
-    way, but the cutoff map holds only the words it visited, and the word
-    table gains only the children it built.
+    behind ``typed_reachable_graph``, and it reads the child view with
+    infinite caps.  With it (``solve_q`` only) a word stops expanding at
+    its first P child, and in normal play a word with a-1 reddish or d-1
+    bluish letters is N unexpanded: inserting at the right (left) end
+    completes a critical sequence.  Such a word is never P, nor is a
+    terminal word in misere play, so the cutoff search caps the view to
+    leave those children out; each of the others is built only when the
+    loop reaches it.  Every typed word is exact either way, but the cutoff
+    map holds only the words it visited, and the word table gains only the
+    children it built.
 
     The reachable non-terminal graph must be acyclic and every play, whose
     length is the stack size, is bounded by (a-1)(d-1)+1 moves; both are
@@ -96,6 +106,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     normal = params.mode is Mode.NORMAL
     terminal = _P if normal else _N
     near_a, near_d = (a - 1, d - 1) if cutoff and normal else (a, d)
+    caps = (near_a, near_d) if cutoff else (math.inf, math.inf)
     depth_limit = (a - 1) * (d - 1) + 1
     types: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -118,8 +129,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
         else:
             on_stack.add(wid)
             t = _P
-            kids = _capped_child_ids(wid, near_a, near_d) if cutoff else _child_ids(wid)
-            for child in kids:
+            for child in _capped_child_ids(wid, *caps):
                 ct = types.get(child)
                 if (visit(child) if ct is None else ct) == _P:
                     t = _N
@@ -165,7 +175,7 @@ def reachable_words(params: GameParams) -> tuple[str, ...]:
         r, b = _word_counts[wid]
         if r >= a or b >= d:
             continue
-        for child in _child_ids(wid):
+        for child in _capped_child_ids(wid, math.inf, math.inf):
             if child not in seen:
                 seen.add(child)
                 order.append(child)
@@ -320,32 +330,10 @@ def solve_q_forbidden(params: GameParams) -> Outcome:
     A move to a non-terminal word with a-1 reddish or d-1 bluish letters is
     forbidden unless every move is such; a player forced to make one loses
     to the opponent's immediate win.  The variant has the same outcome as
-    the ordinary game; it exists for cross-validation.
+    the ordinary game.  Its search is the cutoff search of ``solve_q``,
+    whose near-terminal words are N unexpanded and whose capped child view
+    leaves out exactly the forbidden moves, so that outcome is returned.
     """
     if params.mode is not Mode.NORMAL:
         raise ValueError("the suicide-forbidden variant is a normal-play device")
-    a, d = params.a, params.d
-    memo: dict[int, int] = {}
-
-    def value(wid: int) -> int:
-        v = memo.get(wid)
-        if v is not None:
-            return v
-        r, b = _word_counts[wid]
-        # Near-terminal: the mover completes a critical sequence at once.  Else
-        # P unless an allowed move reaches P, so P if every move is suicidal.
-        t = _N if r >= a - 1 or b >= d - 1 else _P
-        if t == _P:
-            for child in _capped_child_ids(wid, a - 1, d - 1):
-                if value(child) == _P:
-                    t = _N
-                    break
-        memo[wid] = t
-        if len(memo) % CHECK_EVERY == 1:
-            check_memory(memo)
-        return t
-
-    try:
-        return _OUT[value(_EMPTY)]
-    finally:
-        del value
+    return solve_q(params)

@@ -12,6 +12,7 @@ from monoseq import (
     RecordingSequence,
     binary_encode,
     bluish,
+    colour_children,
     colour_of,
     double_bump,
     double_bump_step,
@@ -24,14 +25,13 @@ from monoseq import (
 )
 from monoseq.bumping import (
     _capped_child_ids,
-    _child_ids,
-    _moves,
     _transitions,
     _wid,
     _word_counts,
     _word_kids,
     _word_text,
 )
+from monoseq.chain_solver import _gap_bounds
 
 from conftest import brute_lds, brute_lis
 
@@ -280,15 +280,18 @@ class TestWordTable:
         for k in range(0, 10):
             for word in enumerate_admissible(k):
                 wid = _wid(word)
-                moves = _moves(wid)
+                moves = _transitions(wid)
                 full = [m[1] for m in moves]
+                assert [_word_text[c] for c in full] == [
+                    reference_move(word, j)[0] for j in range(k + 1)
+                ]
                 partial = [None if j % 2 else cid for j, cid in enumerate(full)]
                 r, b = _word_counts[wid]
                 for rcap, bcap in product((r + 1, r + 2, math.inf), (b + 1, b + 2, math.inf)):
                     allowed = [m for m in moves if m[2] < rcap and m[3] < bcap]
                     for cache in ("empty", "partial", "full"):
                         _word_kids[wid] = {
-                            "empty": None, "partial": list(partial), "full": tuple(full)
+                            "empty": None, "partial": list(partial), "full": list(full)
                         }[cache]
                         assert list(_capped_child_ids(wid, rcap, bcap)) == [
                             m[1] for m in allowed
@@ -298,7 +301,32 @@ class TestWordTable:
                         if cache == "empty":
                             built = [j for j, c in enumerate(kids) if c is not None]
                             assert built == [m[0] for m in allowed]
-                    assert _child_ids(wid) == tuple(full)
+
+    def test_distinct_gaps_give_distinct_children(self):
+        # colour_children returns every gap's child without deduplicating,
+        # on the proof in its docstring.  The letter loop checks the fact on
+        # every admissible word of length <= 12 without growing the word
+        # table; colour_children plays the same move.
+        for k in range(0, 13):
+            for word in enumerate_admissible(k):
+                children = [reference_move(word, j)[0] for j in range(k + 1)]
+                assert len(set(children)) == k + 1, word
+                if k < 8:
+                    assert colour_children(word) == tuple(children)
+
+    def test_gap_bound_one_iff_move_completes(self):
+        # The chain search reads a gap of a live word as critical, its move
+        # reaching a reddish or d bluish letters, from its bound alone.
+        for k in range(0, 11):
+            for word in enumerate_admissible(k):
+                wid = _wid(word)
+                r, b = _word_counts[wid]
+                children = [reference_move(word, j)[0] for j in range(k + 1)]
+                for a in range(max(r + 1, 2), 10):
+                    for d in range(max(b + 1, 2), 10):
+                        assert [x == 1 for x in _gap_bounds(wid, a, d)] == [
+                            reddish(c) >= a or bluish(c) >= d for c in children
+                        ], (word, a, d)
 
     def test_interned_words_stay_admissible(self):
         # The move operator is closed on admissible words, which is why

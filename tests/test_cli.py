@@ -338,6 +338,25 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize(
+        "suite,flag,value",
+        [
+            ("admissible-counts", "--golden", "/nonexistent"),
+            ("admissible-counts", "--max-n", "3"),
+            ("admissible-counts", "--max-a", "0"),
+            ("misere-table", "--max-a", "3"),
+            ("normal-results", "--max-a", "3"),
+            ("q-theorems", "--golden", "golden.csv"),
+            ("q-theorems", "--max-n", "3"),
+            ("extended-parity", "--max-n", "3"),
+        ],
+    )
+    def test_flag_of_another_suite_rejected(self, capsys, suite, flag, value):
+        code, out, err = invoke(capsys, "verify", "--suite", suite, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to suite {suite}\n"
+
     def test_golden_mismatch_exit_code(self, capsys, tmp_path):
         bogus = tmp_path / "golden.csv"
         bogus.write_text("a,d,n,mode,outcome\n3,3,4,misere,P\n")

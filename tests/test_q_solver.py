@@ -37,10 +37,6 @@ from monoseq.q_solver import QPosition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The child view that each search reads: the capped, lazily built one for
-# the cutoff search and the whole per-gap list for full typing.
-_KIDS = {solve_q: "_capped_child_ids", typed_reachable_graph: "_child_ids"}
-
 
 class TestColourChildren:
     def test_children_of_p(self):
@@ -165,7 +161,7 @@ class TestSolveQ:
 
     @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
     def test_cycle_raises(self, monkeypatch, solve):
-        monkeypatch.setattr(q_solver, _KIDS[solve], lambda wid, *caps: (wid,))
+        monkeypatch.setattr(q_solver, "_capped_child_ids", lambda wid, *caps: (wid,))
         with pytest.raises(InvariantError, match="cycle"):
             solve(GameParams(4, 4))
 
@@ -177,7 +173,7 @@ class TestSolveQ:
                 return (0, 0)
 
         monkeypatch.setattr(q_solver, "_word_counts", NoLetters())
-        monkeypatch.setattr(q_solver, _KIDS[solve], lambda wid, *caps: (wid + 1,))
+        monkeypatch.setattr(q_solver, "_capped_child_ids", lambda wid, *caps: (wid + 1,))
         with pytest.raises(InvariantError, match="play-length bound 10"):
             solve(GameParams(4, 4))
 
