@@ -14,7 +14,7 @@ rows = []
 for (a, d) in sorted(MISERE_ROWS):
     solver = ChainSolver(GameParams(a, d, Mode.MISERE))
     rows.extend((a, d, n, Mode.MISERE, solver.solve(n).outcome) for n in range(1, MAX_N + 1))
-print(emit_table(rows, "text"))
+print(emit_table(rows))
 
 print("\nSmallest winning first move is constant across trailing N blocks")
 print("(the evidence that they are genuine long-run behaviour):")

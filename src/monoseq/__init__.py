@@ -65,7 +65,6 @@ from .order_core import (
     boolean_lattice,
     complement_involution,
     draw_reachable,
-    involution_from_json,
     longest_ascending,
     longest_descending,
     mirror_strategy,
@@ -75,7 +74,6 @@ from .order_core import (
     validate_involution,
 )
 from .q_solver import (
-    QPosition,
     colour_children,
     duality_check,
     exact_pset_transcript,
@@ -85,7 +83,6 @@ from .q_solver import (
     position_symmetry_holds,
     reachable_words,
     solve_q,
-    solve_q_forbidden,
     sufficient_pset_transcript,
     typed_reachable_graph,
     verify_exact_pset,

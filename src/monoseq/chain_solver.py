@@ -398,7 +398,7 @@ def solve_chain(params: GameParams, n: int) -> SolveReport:
 # ---------------------------------------------------------------------------
 # Closed forms (normal play)
 
-def closed_form_d2(a: int, n: int, mode: Mode = Mode.NORMAL) -> Outcome:
+def closed_form_d2(a: int, n: int) -> Outcome:
     """Outcome of (a, 2, [n]) in normal play.
 
     With d = 2 every move other than the smallest remaining card loses at
@@ -406,14 +406,12 @@ def closed_form_d2(a: int, n: int, mode: Mode = Mode.NORMAL) -> Outcome:
     """
     if a < 2:
         raise ValueError("a must be at least 2")
-    if mode is not Mode.NORMAL:
-        raise ValueError("closed form applies to normal play only")
     if n < a:
         return Outcome.D
     return Outcome.N if a % 2 == 1 else Outcome.P
 
 
-def closed_form_d3(a: int, n: int, mode: Mode = Mode.NORMAL) -> Outcome:
+def closed_form_d3(a: int, n: int) -> Outcome:
     """Outcome of (a, 3, [n]) in normal play.
 
     First player wins when n > a and a is even, or n > a + 1 and a is odd;
@@ -421,8 +419,6 @@ def closed_form_d3(a: int, n: int, mode: Mode = Mode.NORMAL) -> Outcome:
     """
     if a < 3:
         raise ValueError("a must be at least 3 for the d=3 closed form")
-    if mode is not Mode.NORMAL:
-        raise ValueError("closed form applies to normal play only")
     if (a % 2 == 0 and n > a) or (a % 2 == 1 and n > a + 1):
         return Outcome.N
     return Outcome.D

@@ -2,13 +2,16 @@
 
 Exit codes: 0 success / all checks passed, 1 any golden mismatch or failed
 certificate, 2 usage error, 3 out of memory (the memory guard fired, or an
-allocation failed).
+allocation failed).  When the reader of stdout closes the pipe (as ``head``
+does), the command ends silently on SIGPIPE, like ``yes | head``; the shell
+reports 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -97,25 +100,12 @@ class SuiteResult:
 TableRow = tuple[int, int, int, Mode, Outcome]
 
 
-def emit_table(rows: Iterable[TableRow], fmt: str = "text") -> str:
-    """Render outcome rows as text (published row layout), CSV or JSON.
+def emit_table(rows: Iterable[TableRow]) -> str:
+    """Render outcome rows in the published row layout.
 
-    The text layout groups deck sizes in fives per (a, d) row; holes in a
-    row render as '?' and are called out in a trailing warning line.
+    Deck sizes are grouped in fives per (a, d) row; holes in a row render
+    as '?' and are called out in a trailing warning line.
     """
-    rows = list(rows)
-    if fmt == "csv":
-        return golden.dump_csv_rows(rows)
-    if fmt == "json":
-        return json.dumps(
-            [
-                {"a": a, "d": d, "n": n, "mode": m.value, "outcome": o.value}
-                for a, d, n, m, o in rows
-            ],
-            indent=0,
-        )
-    if fmt != "text":
-        raise ValueError(f"unknown table format: {fmt}")
     by_row: dict[tuple[int, int, Mode], dict[int, Outcome]] = {}
     for a, d, n, m, o in rows:
         by_row.setdefault((a, d, m), {})[n] = o
@@ -140,14 +130,6 @@ def emit_table(rows: Iterable[TableRow], fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def parse_table_json(text: str) -> list[TableRow]:
-    """Inverse of emit_table(..., "json")."""
-    return [
-        (rec["a"], rec["d"], rec["n"], Mode(rec["mode"]), Outcome(rec["outcome"]))
-        for rec in json.loads(text)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
@@ -159,8 +141,7 @@ def _print_result(payload: dict, as_json: bool) -> int:
 
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
-    solver = ChainSolver(params)
-    report = solver.solve(args.n)
+    report = ChainSolver(params).solve(args.n)
     payload = {
         "a": args.a,
         "d": args.d,
@@ -169,7 +150,8 @@ def _cmd_solve_chain(args) -> int:
         "outcome": report.outcome.value,
         "smallest_winning_move": report.smallest_winning_move,
         "nodes_expanded": report.nodes_expanded,
-        "memo_entries": solver.memo_size,
+        # A fresh solver's memo holds exactly the states this solve expanded.
+        "memo_entries": report.nodes_expanded,
         "elapsed_s": round(report.elapsed, 6),
     }
     return _print_result(payload, args.json)
@@ -264,7 +246,7 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
     elif max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {max_n}")
     result = SuiteResult(suite)
-    if args.golden:
+    if args.golden is not None:
         with open(args.golden) as fh:
             cases = [
                 (a, d, n, o)
@@ -409,6 +391,22 @@ def _cmd_lemma_slot(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _game_parser(
+    sub, name: str, summary: str, func, *, mode: bool = True, as_json: bool = True
+):
+    """A subcommand taking the game arguments --a and --d, and, where the
+    command reads them, --mode and --json."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--a", type=int, required=True)
+    cmd.add_argument("--d", type=int, required=True)
+    if mode:
+        cmd.add_argument("--mode", choices=[m.value for m in Mode], default="normal")
+    if as_json:
+        cmd.add_argument("--json", action="store_true")
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monoseq",
@@ -419,35 +417,16 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one game instance")
     solve_sub = solve.add_subparsers(dest="target", required=True)
 
-    chain = solve_sub.add_parser("chain", help="play on the chain [n]")
-    chain.add_argument("--a", type=int, required=True)
-    chain.add_argument("--d", type=int, required=True)
+    chain = _game_parser(solve_sub, "chain", "play on the chain [n]", _cmd_solve_chain)
     chain.add_argument("--n", type=int, required=True)
-    chain.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    chain.add_argument("--json", action="store_true")
-    chain.set_defaults(func=_cmd_solve_chain)
-
-    q = solve_sub.add_parser("q", help="play on a dense linear order")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    q.add_argument("--json", action="store_true")
+    q = _game_parser(solve_sub, "q", "play on a dense linear order", _cmd_solve_q)
     q.add_argument("--dump-graph", action="store_true")
-    q.set_defaults(func=_cmd_solve_q)
-
-    ext = solve_sub.add_parser("extended", help="insert-anywhere play on a dense order")
-    ext.add_argument("--a", type=int, required=True)
-    ext.add_argument("--d", type=int, required=True)
-    ext.add_argument("--json", action="store_true")
-    ext.set_defaults(func=_cmd_solve_extended)
-
-    poset = solve_sub.add_parser("poset", help="play on a finite poset from JSON")
+    _game_parser(
+        solve_sub, "extended", "insert-anywhere play on a dense order",
+        _cmd_solve_extended, mode=False,
+    )
+    poset = _game_parser(solve_sub, "poset", "play on a finite poset from JSON", _cmd_solve_poset)
     poset.add_argument("--file", required=True)
-    poset.add_argument("--a", type=int, required=True)
-    poset.add_argument("--d", type=int, required=True)
-    poset.add_argument("--mode", choices=["normal", "misere"], default="normal")
-    poset.add_argument("--json", action="store_true")
-    poset.set_defaults(func=_cmd_solve_poset)
 
     bump = sub.add_parser("bump", help="trace the double bumping of a sequence")
     bump.add_argument("--trace", required=True, metavar="SEQ")
@@ -474,14 +453,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--golden", metavar="FILE", help="golden CSV used instead of the embedded tables")
     verify.set_defaults(func=_cmd_verify)
 
-    scan = sub.add_parser("scan", help="sweep deck sizes for one parameter pair")
-    scan.add_argument("--a", type=int, required=True)
-    scan.add_argument("--d", type=int, required=True)
-    scan.add_argument("--mode", choices=["normal", "misere"], default="normal")
+    scan = _game_parser(
+        sub, "scan", "sweep deck sizes for one parameter pair", _cmd_scan, as_json=False
+    )
     scan.add_argument("--n-from", type=int, required=True)
     scan.add_argument("--n-to", type=int, required=True)
     scan.add_argument("--format", choices=["text", "json"], default="text")
-    scan.set_defaults(func=_cmd_scan)
 
     slot = sub.add_parser("lemma-slot", help="find a safe insertion slot for a pattern")
     slot.add_argument("--perm", required=True)
@@ -510,6 +487,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # A closed stdout pipe ends the command silently, not as an error.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -224,11 +224,6 @@ def complement_involution(k: int) -> dict:
     return {s: tuple(sorted(atoms - set(s))) for s in lattice.elements}
 
 
-def involution_from_json(obj: Mapping) -> dict:
-    """An involution serialized as a JSON object mapping name -> name."""
-    return dict(obj)
-
-
 # ---------------------------------------------------------------------------
 # Boards, read through chain labels: per played element, the lengths of the
 # longest ascending and descending board chains that end at it.

@@ -6,9 +6,9 @@ every one of which is realizable by density.  A word is terminal once it
 carries ``a`` reddish or ``d`` bluish letters; in normal play the mover who
 produced it wins.
 
-``solve_q`` (and through it ``duality_check`` and ``solve_q_forbidden``)
-stops at the first winning move and builds only the child words that can
-be P positions (see ``_typed_ints``).  ``typed_reachable_graph`` types the
+``solve_q`` (and through it ``duality_check``) stops at the first winning
+move and builds only the child words that can be P positions (see
+``_typed_ints``).  ``typed_reachable_graph`` types the
 full reachable graph, and so do ``position_symmetry_holds`` and
 ``verify_strategy_stealing_case``, which read it.  Both read a word's
 children through one view, ``bumping._capped_child_ids``; full typing
@@ -23,7 +23,6 @@ for the symmetric game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .bumping import (
@@ -38,21 +37,6 @@ from .bumping import (
 )
 from .errors import CHECK_EVERY, InvariantError, check_memory
 from .order_core import _N, _OUT, _P, GameParams, Mode, Outcome
-
-
-@dataclass(frozen=True)
-class QPosition:
-    """A dense-order position: an admissible word plus its letter counts."""
-
-    word: str
-    reddish: int
-    bluish: int
-
-    @classmethod
-    def from_word(cls, word: str) -> "QPosition":
-        if not is_admissible(word):
-            raise ValueError(f"word not admissible: {word!r}")
-        return cls(word, reddish(word), bluish(word))
 
 
 def colour_children(word: str) -> tuple[str, ...]:
@@ -323,17 +307,3 @@ def position_symmetry_holds(params: GameParams) -> bool:
     graph = typed_reachable_graph(params)
     return all(graph.get(reverse_complement(w)) is graph[w] for w in graph)
 
-
-def solve_q_forbidden(params: GameParams) -> Outcome:
-    """Outcome of the suicide-forbidden variant of (a, d, Q), normal play.
-
-    A move to a non-terminal word with a-1 reddish or d-1 bluish letters is
-    forbidden unless every move is such; a player forced to make one loses
-    to the opponent's immediate win.  The variant has the same outcome as
-    the ordinary game.  Its search is the cutoff search of ``solve_q``,
-    whose near-terminal words are N unexpanded and whose capped child view
-    leaves out exactly the forbidden moves, so that outcome is returned.
-    """
-    if params.mode is not Mode.NORMAL:
-        raise ValueError("the suicide-forbidden variant is a normal-play device")
-    return solve_q(params)

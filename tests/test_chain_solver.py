@@ -3,6 +3,7 @@ against the unclamped referee."""
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 
@@ -27,14 +28,14 @@ from monoseq import (
     solve_extended,
     solve_poset,
     solve_q,
-    solve_q_forbidden,
     stabilization_bound,
     typed_reachable_graph,
     verify_shift_implication,
 )
 from monoseq import chain_solver
-from monoseq.chain_solver import ChainSolver
+from monoseq.chain_solver import ChainSolver, _gap_bounds
 from monoseq.errors import CHECK_EVERY
+from monoseq.order_core import _D, _N, _P
 
 from conftest import (
     RefereeChainSearch,
@@ -43,6 +44,60 @@ from conftest import (
     brute_lis,
     random_legal_board,
 )
+
+
+def audit_chain_memo(solver: ChainSolver) -> int:
+    """Check every entry of a solver's memo against its children, in any
+    order and with no search; returns the number of entries checked.
+
+    A state is the word id above a+d-1 gap fields of B(a, d).bit_length()
+    bits.  Each child is typed D when no card is left, N when it completes
+    a critical sequence (misere: a card played into the parent's critical
+    gap) or holds a card in a critical gap of its word (normal play, read
+    from the gap bounds, not from the search's masks), and otherwise by
+    its memo entry.  An entry must be N iff some child is P, P iff every
+    child is N, and D otherwise; a P or D entry must have every child
+    typed.  In normal play no entry holds a card in a critical gap.
+    """
+    a, d = solver.params.a, solver.params.d
+    normal = solver.params.mode is Mode.NORMAL
+    bits = stabilization_bound(a, d).bit_length()
+    fmask = (1 << bits) - 1
+    shift = bits * (a + d - 1)
+    memo = solver._memo
+
+    @functools.cache
+    def critical(wid: int) -> int:
+        bounds = _gap_bounds(wid, a, d)
+        return sum(fmask << bits * i for i, b in enumerate(bounds) if b == 1)
+
+    rows = functools.cache(solver._word_rows)
+
+    def child_type(child: int):
+        g = child & (1 << shift) - 1
+        if not g:
+            return _D
+        if normal and g & critical(child >> shift):
+            return _N
+        return memo.get(child)
+
+    for state, stored in memo.items():
+        wid, g = state >> shift, state & (1 << shift) - 1
+        types = []
+        if g & critical(wid):
+            assert not normal, f"normal-play entry {state:#x} holds a card in a critical gap"
+            types.append(_N)
+        for sj, _, _, data in rows(wid):
+            gj = g >> sj & fmask
+            if gj:
+                types += map(child_type, solver._split(g, gj, data[:-1] + (0,)))
+        if stored == _N:
+            assert _P in types, f"N entry {state:#x} has no P child"
+            continue
+        assert None not in types, f"entry {state:#x} stored {stored} misses a child"
+        expected = _P if all(t == _N for t in types) else _D
+        assert stored == expected, f"entry {state:#x} stored {stored}, children give {expected}"
+    return len(memo)
 
 
 class TestCanonicalState:
@@ -243,13 +298,12 @@ class TestSolveChain:
             (lambda: principal_variation(4, 3), False),
             (lambda: solve_q(GameParams(4, 4)), False),
             (lambda: typed_reachable_graph(GameParams(4, 4)), False),
-            (lambda: solve_q_forbidden(GameParams(4, 4)), False),
             (lambda: solve_poset(boolean_lattice(3), GameParams(3, 3)), True),
         ],
         ids=[
             "ChainSolver", "solve_poset", "draw_reachable", "solve_extended",
             "principal_variation", "solve_q", "typed_reachable_graph",
-            "solve_q_forbidden", "solve_poset-guard-fires",
+            "solve_poset-guard-fires",
         ],
     )
     def test_search_frees_memo_without_collector(self, request, search, guarded):
@@ -331,6 +385,24 @@ class TestMemoSoundness:
         assert pairs_checked >= 100
 
 
+class TestMemoAudit:
+    @pytest.mark.parametrize(
+        "a,d,mode",
+        [
+            (5, 4, Mode.MISERE),
+            (6, 4, Mode.NORMAL),
+            pytest.param(7, 4, Mode.MISERE, marks=pytest.mark.full),
+            pytest.param(6, 5, Mode.NORMAL, marks=pytest.mark.full),
+        ],
+    )
+    def test_memo_is_a_proof(self, a, d, mode):
+        # The memo of a search over n = 1..20 proves each of its entries.
+        solver = ChainSolver(GameParams(a, d, mode))
+        for n in range(1, 21):
+            solver.solve(n)
+        assert audit_chain_memo(solver) == solver.nodes_expanded > 0
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "a,n,expected", [(3, 2, "D"), (3, 5, "N"), (4, 6, "P"), (2, 1, "D"), (2, 2, "P")]
@@ -345,9 +417,10 @@ class TestClosedForms:
         assert closed_form_d3(a, n).value == expected
 
     def test_misere_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # The closed forms are normal-play facts and take no mode.
+        with pytest.raises(TypeError):
             closed_form_d2(3, 5, Mode.MISERE)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             closed_form_d3(4, 5, Mode.MISERE)
 
     def test_d2_matches_solver(self, solvers):

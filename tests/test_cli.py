@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from monoseq import cli, errors
 from monoseq.chain_solver import ChainSolver, closed_form_d2, closed_form_d3, stabilization_bound
-from monoseq.cli import emit_table, parse_table_json, run
+from monoseq.cli import emit_table, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
 from monoseq.order_core import GameParams, Mode, Outcome
 
@@ -65,7 +66,7 @@ class TestSolveCommands:
             payload = json.loads(out)
             assert payload["smallest_winning_move"] == report.smallest_winning_move
             assert payload["nodes_expanded"] == report.nodes_expanded
-            assert payload["memo_entries"] == solver.memo_size, n
+            assert payload["memo_entries"] == solver.nodes_expanded, n
 
     def test_solve_chain_deck_size_limit(self, capsys, solvers):
         # No deck size is refused, below the bound either: B(4, 4) = 39.
@@ -92,7 +93,7 @@ class TestSolveCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["outcome"] == report.outcome.value
-        assert payload["memo_entries"] == solver.memo_size
+        assert payload["memo_entries"] == solver.nodes_expanded
 
     @pytest.mark.parametrize("mode", ["normal", "misere"])
     @pytest.mark.parametrize("a,d", [(3, 4), (4, 3), (5, 3), (3, 5)])
@@ -357,6 +358,14 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {flag} does not apply to suite {suite}\n"
 
+    @pytest.mark.parametrize("suite", ["misere-table", "normal-results"])
+    def test_empty_golden_path_rejected(self, capsys, suite):
+        # An empty path is unreadable like any other, not "no file given".
+        code, out, err = invoke(capsys, "verify", "--suite", suite, "--golden", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_golden_mismatch_exit_code(self, capsys, tmp_path):
         bogus = tmp_path / "golden.csv"
         bogus.write_text("a,d,n,mode,outcome\n3,3,4,misere,P\n")
@@ -414,6 +423,28 @@ class TestLemmaSlot:
         assert err.startswith("error:") and perm in err
 
 
+class TestClosedPipe:
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_closed_stdout_ends_silently(self):
+        # Length 11 prints about 210 kB, more than a pipe buffers, so the
+        # command is still writing when the reader closes its end.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monoseq", "enumerate", "admissible", "--length", "11"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        try:
+            assert proc.stdout.readline().strip()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+        assert code == -signal.SIGPIPE
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["monoseq", "monoseq.cli"])
     def test_python_dash_m(self, capsys, module):
@@ -443,26 +474,15 @@ class TestEmitTable:
             (3, 3, n, Mode.MISERE, solvers.outcome(3, 3, n, Mode.MISERE))
             for n in range(1, 21)
         ]
-        rendered = emit_table(rows, "text")
+        rendered = emit_table(rows)
         assert "DDDNN NNNNN NNNNN NNNNN" in rendered
-
-    def test_csv_line(self):
-        rows = [(8, 4, 15, Mode.MISERE, Outcome.D)]
-        assert "8,4,15,misere,D" in emit_table(rows, "csv")
-
-    def test_json_round_trip(self):
-        rows = [
-            (3, 3, 1, Mode.MISERE, Outcome.D),
-            (5, 4, 11, Mode.NORMAL, Outcome.N),
-        ]
-        assert parse_table_json(emit_table(rows, "json")) == rows
 
     def test_incomplete_grid_warns(self):
         rows = [
             (3, 3, 1, Mode.NORMAL, Outcome.D),
             (3, 3, 3, Mode.NORMAL, Outcome.D),
         ]
-        rendered = emit_table(rows, "text")
+        rendered = emit_table(rows)
         assert "warning" in rendered and "n=2" in rendered
 
 

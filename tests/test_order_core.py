@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from monoseq import order_core
 from monoseq import (
     BoardStatus,
     FiniteChain,
@@ -20,7 +22,6 @@ from monoseq import (
     boolean_lattice,
     complement_involution,
     draw_reachable,
-    involution_from_json,
     longest_ascending,
     longest_descending,
     mirror_strategy,
@@ -91,6 +92,32 @@ def memo_free_draw_reachable(deck, params: GameParams) -> bool:
     return rec((), (), ())
 
 
+def board_label_keys(deck, params: GameParams) -> dict[tuple, bool]:
+    """Walk every legal non-critical board, remembering nothing between
+    branches, and map each board's label key (per deck element: 0 while
+    unplayed, else asc * d + desc) to whether some board with that key has
+    a drawn completion."""
+    elements = tuple(deck.elements)
+    keys: dict[tuple, bool] = {}
+
+    def walk(board: tuple, asc: tuple, desc: tuple) -> bool:
+        drawn = len(board) == deck.size
+        for e in elements:
+            if e in board:
+                continue
+            up = 1 + max((u for x, u in zip(board, asc) if deck.less(x, e)), default=0)
+            down = 1 + max((w for x, w in zip(board, desc) if deck.less(e, x)), default=0)
+            if up < params.a and down < params.d:
+                drawn = walk(board + (e,), asc + (up,), desc + (down,)) or drawn
+        label = {x: u * params.d + w for x, u, w in zip(board, asc, desc)}
+        key = tuple(label.get(e, 0) for e in elements)
+        keys[key] = keys.get(key, False) or drawn
+        return drawn
+
+    walk((), (), ())
+    return keys
+
+
 def random_poset(rng, n: int) -> FinitePoset:
     """A poset on n shuffled integers, each forward pair related with one
     density drawn per poset."""
@@ -138,9 +165,6 @@ class TestDecks:
         doc = json.loads('{"elements": ["x", "y"], "less_than": [["x", "y"]]}')
         poset = FinitePoset.from_json(doc)
         assert poset.less("x", "y")
-
-    def test_involution_from_json(self):
-        assert involution_from_json({"x": "y", "y": "x"}) == {"x": "y", "y": "x"}
 
     def test_boolean_lattice(self):
         cube = boolean_lattice(3)
@@ -367,8 +391,6 @@ class TestDrawReachable:
                     assert draw_reachable(FiniteChain(n), GameParams(a, d)) is expected, (n, a, d)
 
     def test_matches_memo_free_referee(self):
-        import random
-
         rng = random.Random(7)
         seen = set()
         for _ in range(20):
@@ -380,6 +402,32 @@ class TestDrawReachable:
                     assert draw_reachable(poset, params) is expected, (poset.elements, params)
                     seen.add(expected)
         assert seen == {True, False}
+
+    def test_dead_set_holds_only_undrawable_board_keys(self, monkeypatch):
+        # draw_reachable hands its dead set itself to its first memory
+        # check, and the set keeps growing after that call.  Each dead key
+        # must be the label key of a walked board, and no board with that
+        # key may have a drawn completion.
+        fixed = [
+            (FiniteChain(7), GameParams(3, 3)),
+            (FiniteChain(8), GameParams(3, 4)),
+            (boolean_lattice(3), GameParams(3, 3)),
+        ]
+        rng = random.Random(3)
+        posets = [random_poset(rng, 7) for _ in range(4)]
+        grid = [(3, 3), (3, 4), (4, 3), (4, 4)]
+        random_cases = [(p, GameParams(a, d)) for p in posets for a, d in grid]
+        dead_keys = []
+        for deck, params in fixed + random_cases:
+            captured = []
+            monkeypatch.setattr(order_core, "check_memory", captured.append)
+            draw_reachable(deck, params)
+            dead = captured[0] if captured else set()
+            keys = board_label_keys(deck, params)
+            assert dead <= keys.keys(), (deck, params)
+            assert not any(keys[k] for k in dead), (deck, params)
+            dead_keys.append(len(dead))
+        assert all(dead_keys[: len(fixed)]) and any(dead_keys[len(fixed) :])
 
 
 class TestValidateInvolution:

@@ -24,7 +24,6 @@ from monoseq import (
     reachable_words,
     reverse_complement,
     solve_q,
-    solve_q_forbidden,
     sufficient_pset_transcript,
     typed_reachable_graph,
     verify_exact_pset,
@@ -33,7 +32,6 @@ from monoseq import (
 )
 from monoseq import q_solver
 from monoseq.errors import InvariantError, ResourceLimitError
-from monoseq.q_solver import QPosition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,12 +66,6 @@ class TestTerminal:
         assert is_terminal_q("RRPBB", GameParams(3, 9)) is True
         assert is_terminal_q("P", GameParams(2, 2)) is False
         assert is_terminal_q("R" * 3 + "P", GameParams(4, 2)) is True
-
-    def test_qposition_counts(self):
-        pos = QPosition.from_word("RRPBB")
-        assert (pos.reddish, pos.bluish) == (3, 3)
-        with pytest.raises(ValueError):
-            QPosition.from_word("BR")
 
 
 class TestSolveQ:
@@ -129,9 +121,7 @@ class TestSolveQ:
                 params = GameParams(a, d, mode)
                 assert solve_q(params) is typed_reachable_graph(params)[""], params
 
-    @pytest.mark.parametrize(
-        "solve", [solve_q, typed_reachable_graph, solve_q_forbidden, reachable_words]
-    )
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph, reachable_words])
     def test_memory_guard(self, zero_budget, solve):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
             solve(GameParams(4, 4))
@@ -182,11 +172,6 @@ class TestSolveQ:
         # normal play but wins outright in misere play.
         assert solve_q(GameParams(2, 2)) is Outcome.P
         assert solve_q(GameParams(2, 2, Mode.MISERE)) is Outcome.N
-
-    def test_forbidden_variant_matches(self):
-        for a in range(2, 7):
-            for d in range(2, 7):
-                assert solve_q_forbidden(GameParams(a, d)) is solve_q(GameParams(a, d))
 
     def test_order_reversal_symmetry_of_types(self):
         assert position_symmetry_holds(GameParams(4, 4))
