@@ -323,6 +323,20 @@ class TestVerify:
         assert payload["failed"] == 0
         assert len(payload["cases"]) == 6
 
+    @pytest.mark.parametrize("suite", ["admissible-counts", "extended-parity"])
+    def test_verify_csv_format(self, capsys, suite):
+        # One CSV line per case, holding the same fields as the JSON report.
+        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--format", "csv")
+        assert code == 0
+        _, json_out, _ = invoke(capsys, "verify", "--suite", suite, "--format", "json")
+        lines = out.splitlines()
+        assert lines[0] == "id,expected,actual,pass"
+        expected = [
+            f"{c['id']},{c['expected']},{c['actual']},{int(c['pass'])}"
+            for c in json.loads(json_out)["cases"]
+        ]
+        assert lines[1:] == expected and expected
+
     @pytest.mark.parametrize(
         "suite,flag,value",
         [
