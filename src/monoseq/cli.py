@@ -14,9 +14,8 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import golden
 from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
@@ -38,60 +37,6 @@ QUICK_CHAIN_N = 12
 FULL_CHAIN_N = 20
 QUICK_Q_A = 10
 FULL_Q_A = 16
-
-
-@dataclass
-class CaseResult:
-    case_id: str
-    expected: str
-    actual: str
-    passed: bool
-    elapsed: float
-
-
-@dataclass
-class SuiteResult:
-    suite: str
-    cases: list[CaseResult] = field(default_factory=list)
-
-    def check(self, case_id: str, expected, solve, *args) -> None:
-        """Time solve(*args) and record its result against expected."""
-        t0 = time.perf_counter()
-        expected, actual = str(expected), str(solve(*args))
-        elapsed = time.perf_counter() - t0
-        self.cases.append(CaseResult(case_id, expected, actual, expected == actual, elapsed))
-
-    @property
-    def passed(self) -> int:
-        return sum(c.passed for c in self.cases)
-
-    @property
-    def failed(self) -> int:
-        return sum(not c.passed for c in self.cases)
-
-    def report_lines(self) -> list[str]:
-        lines = []
-        for c in self.cases:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{c.case_id}: expected {c.expected} actual {c.actual} {status}")
-        lines.append(f"SUITE {self.suite}: {self.passed} passed, {self.failed} failed")
-        return lines
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "failed": self.failed,
-            "cases": [
-                {
-                    "id": c.case_id,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "pass": c.passed,
-                }
-                for c in self.cases
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +183,13 @@ def _cmd_certify(args) -> int:
     return 0 if verdict else 1
 
 
-def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
+def _verify_chain_table(mode: Mode, args) -> Iterator[tuple]:
     """Exact chain outcomes against the golden table of one play mode."""
     max_n = args.max_n
     if max_n is None:
         max_n = FULL_CHAIN_N if args.full else QUICK_CHAIN_N
     elif max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {max_n}")
-    result = SuiteResult(suite)
     if args.golden is not None:
         with open(args.golden) as fh:
             cases = [
@@ -259,57 +203,56 @@ def _verify_chain_table(suite: str, mode: Mode, args) -> SuiteResult:
             )
     else:
         cases = golden.golden_cases(mode, max_n)
-    # Golden rows come grouped by (a, d), so one solver at a time is live;
-    # an interleaved --golden file only costs rebuilt tables.
+    # Golden rows come grouped by (a, d), and verify runs each case before
+    # it draws the next, so one solver at a time is live; an interleaved
+    # --golden file only costs rebuilt tables.
     solver = None
     for a, d, n, expected in cases:
         if solver is None or (solver.params.a, solver.params.d) != (a, d):
             solver = ChainSolver(GameParams(a, d, mode))
-        case_id = f"{mode.value} a={a} d={d} n={n}"
-        result.check(case_id, expected, lambda: solver.solve(n).outcome)
-    return result
+        yield (
+            f"{mode.value} a={a} d={d} n={n}",
+            expected,
+            lambda solver=solver, n=n: solver.solve(n).outcome,
+        )
 
 
-def _verify_q_theorems(args) -> SuiteResult:
+def _verify_q_theorems(args) -> Iterator[tuple]:
     max_a = args.max_a
     if max_a is None:
         max_a = FULL_Q_A if args.full else QUICK_Q_A
     elif max_a < 2:
         raise ValueError(f"--max-a must be at least 2, got {max_a}")
-    result = SuiteResult("q-theorems")
     cases = [(a, 2, Outcome.P) for a in range(2, max_a + 1)]
     cases += [(a, 3, Outcome.N if a % 2 else Outcome.P) for a in range(3, max_a + 1)]
     top_d = 8 if args.full else 6
     cases += [(a, d, Outcome.N) for d in range(4, top_d + 1) for a in range(d, max_a + 1)]
     for a, d, expected in cases:
-        result.check(f"q a={a} d={d} normal", expected, solve_q, GameParams(a, d))
+        yield f"q a={a} d={d} normal", expected, partial(solve_q, GameParams(a, d))
     for a in range(3, 8):
         for d in range(3, 8):
-            result.check(f"q duality a={a} d={d}", True, duality_check, a, d)
-    return result
+            yield f"q duality a={a} d={d}", True, partial(duality_check, a, d)
 
 
-def _verify_extended_parity(args) -> SuiteResult:
-    result = SuiteResult("extended-parity")
+def _verify_extended_parity(args) -> Iterator[tuple]:
     pairs = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (5, 3)]
     if args.full:
         pairs += [(4, 4), (5, 5), (6, 4), (4, 6)]
     for a, d in pairs:
-        result.check(f"extended a={a} d={d}", parity_outcome(a, d), solve_extended, a, d)
-    return result
+        yield f"extended a={a} d={d}", parity_outcome(a, d), partial(solve_extended, a, d)
 
 
-def _verify_admissible_counts(args) -> SuiteResult:
-    result = SuiteResult("admissible-counts")
+def _verify_admissible_counts(args) -> Iterator[tuple]:
     expected = {1: 1, 2: 3, 3: 8, 4: 21, 5: 55, 6: 144}
     for k, count in expected.items():
-        result.check(f"admissible k={k}", count, lambda: len(enumerate_admissible(k)))
-    return result
+        yield f"admissible k={k}", count, lambda k=k: len(enumerate_admissible(k))
 
 
+# Each suite yields (case id, expected, solve) triples, and verify compares
+# str(solve()) with str(expected).
 _SUITES = {
-    "misere-table": partial(_verify_chain_table, "misere-table", Mode.MISERE),
-    "normal-results": partial(_verify_chain_table, "normal-results", Mode.NORMAL),
+    "misere-table": partial(_verify_chain_table, Mode.MISERE),
+    "normal-results": partial(_verify_chain_table, Mode.NORMAL),
     "q-theorems": _verify_q_theorems,
     "extended-parity": _verify_extended_parity,
     "admissible-counts": _verify_admissible_counts,
@@ -320,27 +263,44 @@ _SUITE_FLAGS = {
     "golden": ("misere-table", "normal-results"),
     "max_n": ("misere-table", "normal-results"),
     "max_a": ("q-theorems",),
+    "full": ("misere-table", "normal-results", "q-theorems", "extended-parity"),
 }
 
 
 def _cmd_verify(args) -> int:
     for dest, suites in _SUITE_FLAGS.items():
-        if getattr(args, dest) is not None and args.suite not in suites:
+        # --full stores False when absent, the other flags None.
+        given = getattr(args, dest)
+        if given is not None and given is not False and args.suite not in suites:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} does not apply to suite {args.suite}")
-    result = _SUITES[args.suite](args)
+    rows = []
+    elapsed = 0.0
+    for case_id, expected, solve in _SUITES[args.suite](args):
+        t0 = time.perf_counter()
+        actual = str(solve())
+        elapsed += time.perf_counter() - t0
+        expected = str(expected)
+        rows.append((case_id, expected, actual, expected == actual))
+    failed = sum(not passed for *_, passed in rows)
     if args.format == "json":
-        print(json.dumps(result.to_json()))
+        cases = [
+            {"id": case_id, "expected": expected, "actual": actual, "pass": passed}
+            for case_id, expected, actual, passed in rows
+        ]
+        print(json.dumps(
+            {"suite": args.suite, "passed": len(rows) - failed, "failed": failed, "cases": cases}
+        ))
     elif args.format == "csv":
         print("id,expected,actual,pass")
-        for c in result.cases:
-            print(f"{c.case_id},{c.expected},{c.actual},{int(c.passed)}")
+        for case_id, expected, actual, passed in rows:
+            print(f"{case_id},{expected},{actual},{int(passed)}")
     else:
-        for line in result.report_lines():
-            print(line)
-    total_elapsed = sum(c.elapsed for c in result.cases)
-    print(f"elapsed: {total_elapsed:.2f}s", file=sys.stderr)
-    return 0 if result.failed == 0 else 1
+        for case_id, expected, actual, passed in rows:
+            print(f"{case_id}: expected {expected} actual {actual} {'PASS' if passed else 'FAIL'}")
+        print(f"SUITE {args.suite}: {len(rows) - failed} passed, {failed} failed")
+    print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_scan(args) -> int:

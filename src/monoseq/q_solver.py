@@ -73,14 +73,14 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     Without ``cutoff`` every reachable word is typed; this is the graph
     behind ``typed_reachable_graph``, and it reads the child view with
     infinite caps.  With it (``solve_q`` only) a word stops expanding at
-    its first P child, and in normal play a word with a-1 reddish or d-1
-    bluish letters is N unexpanded: inserting at the right (left) end
-    completes a critical sequence.  Such a word is never P, nor is a
-    terminal word in misere play, so the cutoff search caps the view to
-    leave those children out; each of the others is built only when the
-    loop reaches it.  Every typed word is exact either way, but the cutoff
-    map holds only the words it visited, and the word table gains only the
-    children it built.
+    its first P child.  In normal play a word with a-1 reddish or d-1
+    bluish letters is N, as inserting at the right (left) end completes a
+    critical sequence.  Such a word is never P, nor is a terminal word in
+    misere play, so the cutoff search caps the view to leave those
+    children out and never visits one; each of the others is built only
+    when the loop reaches it.  Every typed word is exact either way, but
+    the cutoff map holds only the words it visited, and the word table
+    gains only the children it built.
 
     The reachable non-terminal graph must be acyclic and every play, whose
     length is the stack size, is bounded by (a-1)(d-1)+1 moves; both are
@@ -89,8 +89,9 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     a, d = params.a, params.d
     normal = params.mode is Mode.NORMAL
     terminal = _P if normal else _N
-    near_a, near_d = (a - 1, d - 1) if cutoff and normal else (a, d)
-    caps = (near_a, near_d) if cutoff else (math.inf, math.inf)
+    caps = (math.inf, math.inf)
+    if cutoff:
+        caps = (a - 1, d - 1) if normal else (a, d)
     depth_limit = (a - 1) * (d - 1) + 1
     types: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -108,8 +109,6 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
             raise InvariantError(
                 f"search depth exceeded the play-length bound {depth_limit}"
             )
-        elif r >= near_a or b >= near_d:
-            t = _N
         else:
             on_stack.add(wid)
             t = _P

@@ -33,7 +33,7 @@ from monoseq import (
     verify_shift_implication,
 )
 from monoseq import chain_solver
-from monoseq.chain_solver import ChainSolver, _gap_bounds
+from monoseq.chain_solver import ChainSolver, _gap_bounds, _transitions, _word_text
 from monoseq.errors import CHECK_EVERY
 from monoseq.order_core import _D, _N, _P
 
@@ -189,6 +189,8 @@ class TestBounds:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             large_gap_bound(0, 3)
+        with pytest.raises(ValueError, match="at least 2"):
+            stabilization_bound(1, 3)
 
     def test_stabilization_is_root_gap_bound(self):
         assert stabilization_bound(2, 2) == 3
@@ -221,6 +223,15 @@ class TestSolveChain:
         assert report.outcome is Outcome.D
         assert report.nodes_expanded == 0
         assert report.smallest_winning_move is None
+
+    def test_negative_deck_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ChainSolver(GameParams(3, 3)).solve(-1)
+
+    def test_report_move_iff_n(self):
+        # A smallest winning move belongs to an N outcome only.
+        with pytest.raises(ValueError, match="iff outcome is N"):
+            SolveReport(Outcome.P, 0, 1, 0.0)
 
     @pytest.mark.parametrize(
         "a,d,n,mode,expected",
@@ -403,6 +414,79 @@ class TestMemoAudit:
         assert audit_chain_memo(solver) == solver.nodes_expanded > 0
 
 
+def referee_split(state: int, j: int, a: int, d: int, bits: int, normal: bool) -> list[int]:
+    """The clamped children of playing gap j of a packed state, one card
+    at a time on plain lists: split, merge, clamp each field to its bound,
+    drop repeats and, in normal play, every child with a card in a
+    critical (bound 1) field."""
+    fmask = (1 << bits) - 1
+    shift = bits * (a + d - 1)
+    wid, g = state >> shift, state & (1 << shift) - 1
+    gaps = [g >> bits * i & fmask for i in range(len(_word_text[wid]) + 1)]
+    _, cid, _, _, rmerge, lmerge = _transitions(wid)[j]
+    bounds = _gap_bounds(cid, a, d)
+    out = []
+    for l in range(gaps[j]):
+        fields = gaps[:j] + [l, gaps[j] - 1 - l] + gaps[j + 1 :]
+        for i in (rmerge, lmerge):
+            if i >= 0:
+                fields[i] += fields.pop(i + 1)
+        assert len(fields) == len(bounds)
+        fields = [min(v, b) for v, b in zip(fields, bounds)]
+        if normal and any(v and b == 1 for v, b in zip(fields, bounds)):
+            continue
+        child = sum(v << bits * i for i, v in enumerate(fields)) + (cid << shift)
+        if child not in out:
+            out.append(child)
+    return out
+
+
+class TestSplit:
+    @pytest.mark.parametrize(
+        "a,d,mode,top",
+        [
+            (3, 3, Mode.MISERE, 33),
+            (3, 3, Mode.NORMAL, 33),
+            (4, 3, Mode.MISERE, 57),
+            (4, 3, Mode.NORMAL, 57),
+            (5, 4, Mode.MISERE, 12),
+            (4, 5, Mode.NORMAL, 12),
+        ],
+    )
+    def test_matches_per_child_clamp(self, a, d, mode, top):
+        # build's packed child data (merge ops, the clamp list, skip masks
+        # and critical ends) against the referee, on every memo state.
+        # With the ends dropped, as the root scan and the audit read it,
+        # split must give every clamped child.
+        normal = mode is Mode.NORMAL
+        solver = ChainSolver(GameParams(a, d, mode))
+        for n in range(1, top + 1):
+            solver.solve(n)
+        bits = stabilization_bound(a, d).bit_length()
+        fmask = (1 << bits) - 1
+        shift = bits * (a + d - 1)
+        rows = functools.cache(solver._word_rows)
+        checked = 0
+        for state in solver._memo:
+            wid, g = state >> shift, state & (1 << shift) - 1
+            playable = [j for j, b in enumerate(_gap_bounds(wid, a, d)) if b > 1]
+            assert [sj // bits for sj, _, _, _ in rows(wid)] == playable
+            for sj, skip, _, data in rows(wid):
+                gj = g >> sj & fmask
+                if not gj:
+                    continue
+                j = sj // bits
+                want = referee_split(state, j, a, d, bits, normal)
+                if g & skip:
+                    assert want == [], (state, j)
+                else:
+                    assert list(solver._split(g, gj, data)) == want, (state, j)
+                every = referee_split(state, j, a, d, bits, False)
+                assert list(solver._split(g, gj, data[:-1] + (0,))) == every, (state, j)
+                checked += 1
+        assert checked > 0
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "a,n,expected", [(3, 2, "D"), (3, 5, "N"), (4, 6, "P"), (2, 1, "D"), (2, 2, "P")]
@@ -415,6 +499,12 @@ class TestClosedForms:
     )
     def test_d3_examples(self, a, n, expected):
         assert closed_form_d3(a, n).value == expected
+
+    def test_rejects_small_a(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            closed_form_d2(1, 5)
+        with pytest.raises(ValueError, match="at least 3"):
+            closed_form_d3(2, 5)
 
     def test_misere_mode_rejected(self):
         # The closed forms are normal-play facts and take no mode.

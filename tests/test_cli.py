@@ -323,19 +323,34 @@ class TestVerify:
         assert payload["failed"] == 0
         assert len(payload["cases"]) == 6
 
-    @pytest.mark.parametrize("suite", ["admissible-counts", "extended-parity"])
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES))
     def test_verify_csv_format(self, capsys, suite):
-        # One CSV line per case, holding the same fields as the JSON report.
-        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--format", "csv")
-        assert code == 0
-        _, json_out, _ = invoke(capsys, "verify", "--suite", suite, "--format", "json")
-        lines = out.splitlines()
+        # One CSV line and one text line per case, holding the same fields
+        # as the JSON report.
+        limit = {
+            "misere-table": ("--max-n", "6"),
+            "normal-results": ("--max-n", "6"),
+            "q-theorems": ("--max-a", "5"),
+        }.get(suite, ())
+        outputs = {}
+        for fmt in ("text", "csv", "json"):
+            code, outputs[fmt], _ = invoke(
+                capsys, "verify", "--suite", suite, *limit, "--format", fmt
+            )
+            assert code == 0
+        report = json.loads(outputs["json"])
+        cases = report["cases"]
+        assert cases and report["passed"] == len(cases) and report["failed"] == 0
+        lines = outputs["csv"].splitlines()
         assert lines[0] == "id,expected,actual,pass"
-        expected = [
-            f"{c['id']},{c['expected']},{c['actual']},{int(c['pass'])}"
-            for c in json.loads(json_out)["cases"]
+        assert lines[1:] == [
+            f"{c['id']},{c['expected']},{c['actual']},{int(c['pass'])}" for c in cases
         ]
-        assert lines[1:] == expected and expected
+        assert outputs["text"].splitlines() == [
+            f"{c['id']}: expected {c['expected']} actual {c['actual']} "
+            + ("PASS" if c["pass"] else "FAIL")
+            for c in cases
+        ] + [f"SUITE {suite}: {len(cases)} passed, 0 failed"]
 
     @pytest.mark.parametrize(
         "suite,flag,value",
@@ -359,6 +374,7 @@ class TestVerify:
             ("admissible-counts", "--golden", "/nonexistent"),
             ("admissible-counts", "--max-n", "3"),
             ("admissible-counts", "--max-a", "0"),
+            ("admissible-counts", "--full", None),
             ("misere-table", "--max-a", "3"),
             ("normal-results", "--max-a", "3"),
             ("q-theorems", "--golden", "golden.csv"),
@@ -367,7 +383,8 @@ class TestVerify:
         ],
     )
     def test_flag_of_another_suite_rejected(self, capsys, suite, flag, value):
-        code, out, err = invoke(capsys, "verify", "--suite", suite, flag, value)
+        given = (flag,) if value is None else (flag, value)
+        code, out, err = invoke(capsys, "verify", "--suite", suite, *given)
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} does not apply to suite {suite}\n"
@@ -383,11 +400,18 @@ class TestVerify:
     def test_golden_mismatch_exit_code(self, capsys, tmp_path):
         bogus = tmp_path / "golden.csv"
         bogus.write_text("a,d,n,mode,outcome\n3,3,4,misere,P\n")
-        code, out, _ = invoke(
-            capsys, "verify", "--suite", "misere-table", "--golden", str(bogus)
-        )
-        assert code == 1
-        assert "FAIL" in out
+        out = {}
+        for fmt in ("text", "csv", "json"):
+            code, out[fmt], _ = invoke(
+                capsys, "verify", "--suite", "misere-table", "--golden", str(bogus),
+                "--format", fmt,
+            )
+            assert code == 1
+        assert "misere a=3 d=3 n=4: expected P actual N FAIL" in out["text"]
+        assert out["csv"].splitlines()[1:] == ["misere a=3 d=3 n=4,P,N,0"]
+        report = json.loads(out["json"])
+        assert (report["passed"], report["failed"]) == (0, 1)
+        assert [c["pass"] for c in report["cases"]] == [False]
 
 
 class TestScan:
@@ -401,6 +425,24 @@ class TestScan:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n outcome")
         assert lines[4].split() == ["4", "N", "2"]
+
+    def test_json_rows_match_text_and_solve(self, capsys):
+        sweep = ("--a", "3", "--d", "3", "--mode", "misere", "--n-from", "1", "--n-to", "8")
+        code, out, _ = invoke(capsys, "scan", *sweep, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        _, text, _ = invoke(capsys, "scan", *sweep)
+        assert text.splitlines()[1:] == [
+            f"{r['n']} {r['outcome']} {r['smallest_winning_move'] or '-'}" for r in rows
+        ]
+        assert [r["n"] for r in rows] == list(range(1, 9))
+        for row in rows:
+            _, solved, _ = invoke(
+                capsys, "solve", "chain", "--a", "3", "--d", "3", "--mode", "misere",
+                "--n", str(row["n"]), "--json",
+            )
+            solved = json.loads(solved)
+            assert row == {key: solved[key] for key in row}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_empty_range_rejected(self, capsys, fmt):

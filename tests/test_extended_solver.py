@@ -162,6 +162,11 @@ class TestSolveExtended:
     def test_trivial_second_player_win(self):
         assert solve_extended(2, 2) is Outcome.P
 
+    @pytest.mark.parametrize("solve", [solve_extended, parity_outcome])
+    def test_rejects_small_critical_lengths(self, solve):
+        with pytest.raises(ValueError, match="at least 2"):
+            solve(1, 3)
+
     @pytest.mark.parametrize("solve", [solve_extended, principal_variation])
     def test_memory_guard(self, zero_budget, solve):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):

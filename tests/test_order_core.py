@@ -146,6 +146,14 @@ class TestGameParams:
         with pytest.raises(ValueError):
             GameParams(a, d)
 
+    def test_rejects_non_integer_length(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            GameParams(2.5, 3)
+
+    def test_rejects_bad_mode(self):
+        with pytest.raises(ValueError, match="bad mode"):
+            GameParams(3, 3, 3)
+
 
 class TestDecks:
     def test_poset_transitive_closure(self):
@@ -160,6 +168,14 @@ class TestDecks:
     def test_poset_rejects_unknown_elements(self):
         with pytest.raises(ValueError):
             FinitePoset("ab", [("a", "z")])
+
+    def test_poset_rejects_repeated_elements(self):
+        with pytest.raises(ValueError, match="must be distinct"):
+            FinitePoset(["x", "x"])
+
+    def test_chain_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FiniteChain(-1)
 
     def test_poset_from_json(self):
         doc = json.loads('{"elements": ["x", "y"], "less_than": [["x", "y"]]}')
@@ -315,6 +331,10 @@ class TestNoDrawPossible:
         cube = boolean_lattice(3)  # longest chain 4
         assert no_draw_possible(cube, GameParams(2, 2)) is True
         assert no_draw_possible(cube, GameParams(3, 3)) is False
+
+    def test_unsupported_deck_rejected(self):
+        with pytest.raises(ValueError, match="unsupported deck"):
+            no_draw_possible(object(), GameParams(3, 3))
 
 
 class TestSolvePoset:
@@ -503,6 +523,20 @@ class TestMirrorStrategy:
         swap["b1"] = "b1"
         with pytest.raises(ValueError):
             mirror_strategy(poset, swap, "order_preserving", ["a2"], GameParams(3, 3))
+
+    def test_even_board_rejected(self):
+        # After an even number of moves it is the first player's turn.
+        poset, swap = two_chains(3)
+        with pytest.raises(ValueError, match="second player's turn"):
+            mirror_strategy(poset, swap, "order_preserving", ["a1", "b1"], GameParams(3, 3))
+
+    def test_finished_game_rejected(self):
+        # a1 < a2 is a critical ascent for a = 2: the game is over.
+        poset, swap = two_chains(3)
+        with pytest.raises(ValueError, match="already over"):
+            mirror_strategy(
+                poset, swap, "order_preserving", ["a1", "b1", "a2"], GameParams(2, 3)
+            )
 
     def test_inconsistent_board_rejected(self):
         # Last move a1 mirrors to b1, which is already on the board.

@@ -67,6 +67,10 @@ class TestTerminal:
         assert is_terminal_q("P", GameParams(2, 2)) is False
         assert is_terminal_q("R" * 3 + "P", GameParams(4, 2)) is True
 
+    def test_rejects_inadmissible_word(self):
+        with pytest.raises(ValueError, match="not admissible"):
+            is_terminal_q("RB", GameParams(3, 3))
+
 
 class TestSolveQ:
     def test_d2_always_previous_player(self):
