@@ -180,7 +180,7 @@ def insert_purple(word: ColourWord, position: int) -> ColourWord:
         raise ValueError(f"word not admissible: {word!r}")
     if not 0 <= position <= len(word):
         raise ValueError(f"position {position} out of range for {word!r}")
-    return _word_text[_play(_wid(word), position)[1]]
+    return _word_text[_play(_wid(word), position)[0]]
 
 
 def reverse_complement(word: ColourWord) -> ColourWord:
@@ -192,15 +192,16 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 # Interned colour words: the one implementation of the move operator.
 #
 # Every solver that plays on colour words shares this table.  A word is
-# interned once as a small int id with its (reddish, bluish) counts.  Two
-# caches hang off each word.  The chain solvers' per-gap move tuples are
-# built all at once.  The dense-order solver's child id per gap is a list
-# in which None marks a gap not yet built: the capped view builds only the
-# gaps it reaches, and never one whose child passes its caps.  Every gap
-# is played by _play, the one place where the bumping rule is written.
-# The operator maps admissible words to admissible words, so only words
-# entering from outside are validated (by callers).  Count pairs take few
-# distinct values and are shared between words.
+# interned once as a small int id with its (reddish, bluish) counts.  Every
+# gap is played by _play, the one place where the bumping rule is written,
+# and only the dense-order view caches its result: a list of child ids per
+# word in which None marks a gap not yet built, so that view builds only the
+# gaps it reaches and never one whose child passes its caps.  The chain
+# solvers keep their own per-word rows and never play a critical gap, so
+# they intern no terminal word.  The operator maps admissible words to
+# admissible words, so only words entering from outside are validated (by
+# callers).  Count pairs take few distinct values and are shared between
+# words.
 #
 # The table is process-global and grows without bound; interning is
 # check-then-act without a lock, so it must not be shared across threads.
@@ -208,7 +209,6 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 _word_ids: dict[str, int] = {}
 _word_text: list[str] = []
 _word_counts: list[tuple[int, int]] = []
-_word_trans: list[Optional[tuple]] = []
 _word_kids: list[Optional[list[Optional[int]]]] = []
 _count_pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -218,7 +218,6 @@ def _intern(word: str, counts: tuple[int, int]) -> int:
     _word_ids[word] = wid
     _word_text.append(word)
     _word_counts.append(_count_pairs.setdefault(counts, counts))
-    _word_trans.append(None)
     _word_kids.append(None)
     return wid
 
@@ -231,9 +230,9 @@ def _wid(word: str) -> int:
     return wid
 
 
-def _play(wid: int, j: int) -> tuple[int, int, int, int, int, int]:
-    """Play a card into gap j of the word: (j, child id, child reddish,
-    child bluish, rmerge, lmerge).
+def _play(wid: int, j: int) -> tuple[int, int, int]:
+    """Play a card into gap j of the word: (child id, rmerge, lmerge).  The
+    child's counts are _word_counts[child id].
 
     The P enters at j; the first reddish letter at or after j (index nr, or
     the word's length if none) loses its red tinge and the last bluish
@@ -267,17 +266,7 @@ def _play(wid: int, j: int) -> tuple[int, int, int, int, int, int]:
     cid = _word_ids.get(child)
     if cid is None:
         cid = _intern(child, (cr, cb))
-    return j, cid, cr, cb, rmerge, lmerge
-
-
-def _transitions(wid: int) -> tuple:
-    """Chain view: the move of every gap j = 0..len (see _play), cached."""
-    trans = _word_trans[wid]
-    if trans is None:
-        trans = _word_trans[wid] = tuple(
-            [_play(wid, j) for j in range(len(_word_text[wid]) + 1)]
-        )
-    return trans
+    return cid, rmerge, lmerge
 
 
 def _capped_child_ids(wid: int, rcap: float, bcap: float) -> Iterator[int]:
@@ -301,5 +290,5 @@ def _capped_child_ids(wid: int, rcap: float, bcap: float) -> Iterator[int]:
     for j in range(lo, hi):
         cid = kids[j]
         if cid is None:
-            cid = kids[j] = _play(wid, j)[1]
+            cid = kids[j] = _play(wid, j)[0]
         yield cid

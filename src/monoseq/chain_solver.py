@@ -33,7 +33,7 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .bumping import _transitions, _wid, _word_text, double_bump
+from .bumping import _play, _wid, _word_counts, _word_text, double_bump
 from .errors import CHECK_EVERY, check_memory
 from .order_core import (
     _D,
@@ -123,11 +123,10 @@ def _merge_op(bits: int, i: int):
 
 def _gap_bounds(wid: int, a: int, d: int) -> tuple[int, ...]:
     """Large-gap threshold B(x, y) of each gap of a live word."""
-    word = _word_text[wid]
     x = a
-    y = d - (len(word) - word.count("R"))
+    y = d - _word_counts[wid][1]
     bounds = [large_gap_bound(x, y)]
-    for ch in word:
+    for ch in _word_text[wid]:
         # Left to right, a reddish letter joins those before the gap and a
         # bluish one leaves those after it.
         x -= ch != "B"
@@ -160,19 +159,21 @@ def _make_search(params: GameParams, memo: dict):
         clamps it; only the fields pl and pl + 1 that the split fills vary
         with l.  A gap is critical, its move completing a critical
         sequence, exactly when its large-gap bound is 1, for B(x, y) = 1
-        iff x = 1 or y = 1.  Critical gaps are left out: in misere play
-        they are never played, and in normal play a state with a card in
-        one is N, so no parent searches it.  The skip mask marks the
-        parent fields that fill a child's critical gap for every l; a
-        critical pl (pl + 1) leaves only l = 0 (l = gj - 1), and the
-        critical mask marks it for the root scan, which splits every l.
+        iff x = 1 or y = 1.  Critical gaps are left out before they are
+        played, so no terminal word is interned: in misere play they are
+        never played, and in normal play a state with a card in one is N,
+        so no parent searches it.  The skip mask marks the parent fields
+        that fill a child's critical gap for every l; a critical pl
+        (pl + 1) leaves only l = 0 (l = gj - 1), and the critical mask
+        marks it for the root scan, which splits every l.
         """
         held = _gap_bounds(wid, a, d)
         rows = []
-        for j, cid, _, _, rt, ls in _transitions(wid):
-            sj = bits * j
-            if held[j] == 1:
+        for j, hj in enumerate(held):
+            if hj == 1:
                 continue
+            cid, rt, ls = _play(wid, j)
+            sj = bits * j
             pl = j - (ls >= 0)  # the field holding l once merges are done
             pr = pl + 1
             bounds = _gap_bounds(cid, a, d)

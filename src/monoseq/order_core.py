@@ -306,10 +306,6 @@ def _status(board: tuple, asc: list, desc: list, deck, params: GameParams) -> Bo
     return BoardStatus.ONGOING
 
 
-def _status_unchecked(board: tuple, deck, params: GameParams) -> BoardStatus:
-    return _status(board, *_board_labels(board, deck), deck, params)
-
-
 def _validated_labels(board: tuple, deck, params: GameParams) -> tuple[list, list]:
     _check_board_elements(board, deck)
     asc, desc = _board_labels(board, deck)
@@ -331,9 +327,13 @@ def validate_board(board: Sequence, deck, params: GameParams) -> None:
 def board_status(board: Sequence, deck, params: GameParams) -> BoardStatus:
     """Status of a legal board.
 
-    When one move completes both an ascent of length a and a descent of
-    length d, the ascending case is reported (the outcome is the same
-    either way; the convention keeps output deterministic).
+    No legal board completes an ascent of length a and a descent of
+    length d at once, on any poset, so the order of the two checks never
+    shows.  Were the last move e to complete both, let x precede e in the
+    ascent and y precede it in the descent: x < e < y, so x < y.  If y
+    was played after x it extends the ascent through x to length a, and
+    otherwise x extends the descent through y to length d, either way in
+    a proper prefix.
     """
     board = tuple(board)
     return _status(board, *_validated_labels(board, deck, params), deck, params)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from monoseq import ChainSolver, GameParams, Mode, Outcome, errors
-from monoseq.bumping import _transitions, _wid
+from monoseq.bumping import _play, _wid, _word_counts, _word_text
 
 
 def brute_lis(values) -> int:
@@ -101,15 +101,17 @@ class RefereeChainSearch:
     """Unclamped chain search: the reference the product's clamped search
     is checked against.
 
-    States are (word id, gaps tuple) pairs stepped through
-    ``bumping._transitions`` with plain lists: no packing, no clamp and
-    no large-gap argument, so every gap holds its true card count and the
-    memo key needs no deck size.
+    States are (word id, gaps tuple) pairs stepped gap by gap through
+    ``bumping._play`` with plain lists: no packing, no clamp and no
+    large-gap argument, so every gap holds its true card count and the
+    memo key needs no deck size.  Every gap is played, critical ones too,
+    and each word's moves are kept for the life of the search.
     """
 
     def __init__(self, params: GameParams):
         self.params = params
         self._memo: dict = {}
+        self._moves: dict = {}
 
     def _scan(self, wid: int, gaps: tuple) -> tuple:
         """Outcome of a live position with cards left, and the index of its
@@ -119,7 +121,11 @@ class RefereeChainSearch:
         memo = self._memo
         saw_draw = False
         index = 0
-        for j, cid, cr, cb, rt, ls in _transitions(wid):
+        moves = self._moves.get(wid)
+        if moves is None:
+            moves = self._moves[wid] = [_play(wid, j) for j in range(len(_word_text[wid]) + 1)]
+        for j, (cid, rt, ls) in enumerate(moves):
+            cr, cb = _word_counts[cid]
             if cr >= a or cb >= d:
                 # Every card of gap j completes a critical sequence.
                 if gaps[j] and completes is Outcome.P:

@@ -25,7 +25,7 @@ from monoseq import (
 )
 from monoseq.bumping import (
     _capped_child_ids,
-    _transitions,
+    _play,
     _wid,
     _word_counts,
     _word_kids,
@@ -263,12 +263,12 @@ class TestWordTable:
     def test_matches_letter_loop_reference(self):
         for k in range(0, 9):
             for word in enumerate_admissible(k):
-                moves = _transitions(_wid(word))
-                assert [m[0] for m in moves] == list(range(k + 1))
-                for j, cid, cr, cb, rmerge, lmerge in moves:
+                wid = _wid(word)
+                for j in range(k + 1):
+                    cid, rmerge, lmerge = _play(wid, j)
                     child, want_r, want_l = reference_move(word, j)
                     assert _word_text[cid] == child
-                    assert _word_counts[cid] == (cr, cb) == (reddish(child), bluish(child))
+                    assert _word_counts[cid] == (reddish(child), bluish(child))
                     assert (rmerge, lmerge) == (want_r, want_l)
                     assert insert_purple(word, j) == child
 
@@ -280,27 +280,29 @@ class TestWordTable:
         for k in range(0, 10):
             for word in enumerate_admissible(k):
                 wid = _wid(word)
-                moves = _transitions(wid)
-                full = [m[1] for m in moves]
+                full = [_play(wid, j)[0] for j in range(k + 1)]
                 assert [_word_text[c] for c in full] == [
                     reference_move(word, j)[0] for j in range(k + 1)
                 ]
                 partial = [None if j % 2 else cid for j, cid in enumerate(full)]
                 r, b = _word_counts[wid]
                 for rcap, bcap in product((r + 1, r + 2, math.inf), (b + 1, b + 2, math.inf)):
-                    allowed = [m for m in moves if m[2] < rcap and m[3] < bcap]
+                    allowed = [
+                        j for j, c in enumerate(full)
+                        if _word_counts[c][0] < rcap and _word_counts[c][1] < bcap
+                    ]
                     for cache in ("empty", "partial", "full"):
                         _word_kids[wid] = {
                             "empty": None, "partial": list(partial), "full": list(full)
                         }[cache]
                         assert list(_capped_child_ids(wid, rcap, bcap)) == [
-                            m[1] for m in allowed
+                            full[j] for j in allowed
                         ], (word, rcap, bcap, cache)
                         kids = _word_kids[wid]
                         assert all(c is None or c == full[j] for j, c in enumerate(kids))
                         if cache == "empty":
                             built = [j for j, c in enumerate(kids) if c is not None]
-                            assert built == [m[0] for m in allowed]
+                            assert built == allowed
 
     def test_distinct_gaps_give_distinct_children(self):
         # colour_children returns every gap's child without deduplicating,

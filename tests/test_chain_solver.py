@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,8 @@ from monoseq import (
     verify_shift_implication,
 )
 from monoseq import chain_solver
-from monoseq.chain_solver import ChainSolver, _gap_bounds, _transitions, _word_text
+from monoseq.bumping import _play, _word_text
+from monoseq.chain_solver import ChainSolver, _gap_bounds
 from monoseq.errors import CHECK_EVERY
 from monoseq.order_core import _D, _N, _P
 
@@ -44,6 +49,8 @@ from conftest import (
     brute_lis,
     random_legal_board,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def audit_chain_memo(solver: ChainSolver) -> int:
@@ -130,7 +137,7 @@ class TestCanonicalState:
         # Evolving the solver's (word, gaps) transitions card by card must
         # agree with recomputing the state from scratch via double bumping.
         from monoseq import double_bump
-        from monoseq.chain_solver import _transitions, _wid, _word_text
+        from monoseq.bumping import _wid
 
         rng = random.Random(11)
         for _ in range(300):
@@ -150,11 +157,7 @@ class TestCanonicalState:
                     if lower < u < upper
                 )
                 l = in_gap.index(card)
-                by_gap = {
-                    jj: (cid, rt, ls)
-                    for jj, cid, cr, cb, rt, ls in _transitions(wid)
-                }
-                cid, rt, ls = by_gap[j]
+                cid, rt, ls = _play(wid, j)
                 child = list(gaps[:j])
                 child.append(l)
                 child.append(gaps[j] - 1 - l)
@@ -283,6 +286,28 @@ class TestSolveChain:
         solver = ChainSolver(GameParams(a, d, mode))
         total = sum(solver.solve(n).nodes_expanded for n in range(1, 21))
         assert total == solver.nodes_expanded == nodes
+
+    @pytest.mark.parametrize("a,d,mode", [(5, 4, Mode.MISERE), (4, 5, Mode.NORMAL)])
+    def test_interns_no_terminal_word(self, a, d, mode):
+        # build skips a critical gap before playing it, so in a fresh
+        # interpreter the word table holds only words with fewer than a
+        # reddish and fewer than d bluish letters.
+        script = (
+            "from monoseq import ChainSolver, GameParams, Mode\n"
+            "from monoseq.bumping import _word_counts\n"
+            f"solver = ChainSolver(GameParams({a}, {d}, Mode.{mode.name}))\n"
+            "for n in range(1, 13):\n"
+            "    solver.solve(n)\n"
+            "print(max(r for r, _ in _word_counts), max(b for _, b in _word_counts))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        r, b = map(int, proc.stdout.split())
+        assert r < a and b < d, (r, b)
 
     def test_memory_guard(self, zero_budget):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
@@ -423,7 +448,7 @@ def referee_split(state: int, j: int, a: int, d: int, bits: int, normal: bool) -
     shift = bits * (a + d - 1)
     wid, g = state >> shift, state & (1 << shift) - 1
     gaps = [g >> bits * i & fmask for i in range(len(_word_text[wid]) + 1)]
-    _, cid, _, _, rmerge, lmerge = _transitions(wid)[j]
+    cid, rmerge, lmerge = _play(wid, j)
     bounds = _gap_bounds(cid, a, d)
     out = []
     for l in range(gaps[j]):

@@ -264,20 +264,11 @@ class TestBoardStatus:
             is BoardStatus.CRITICAL_DESCENDING
         )
 
-    def test_simultaneous_critical_reports_ascending(self):
-        # The ascending report wins ties by convention.  On legal boards a
-        # tie cannot actually arise (the last elements of the completing
-        # ascent and descent are comparable, so one ordering of their
-        # positions puts a critical sequence in the prefix); the tie-break
-        # is observable on raw boards and checked exhaustively below.
-        from monoseq.order_core import _status_unchecked
-
-        deck = FiniteChain(9)
-        params = GameParams(3, 3)
-        both = (2, 3, 1, 9, 8, 7)
-        assert brute_lis(both) >= 3 and brute_lds(both) >= 3
-        assert _status_unchecked(both, deck, params) is BoardStatus.CRITICAL_ASCENDING
-
+    def test_no_legal_board_completes_both(self):
+        # The last elements before the final move in a completing ascent
+        # and descent are comparable, so whichever was played later puts a
+        # critical sequence in a proper prefix (see board_status).  Checked
+        # on raw boards of a chain and on every legal board of the cube.
         from itertools import permutations
 
         for perm in permutations(range(1, 7)):
@@ -286,6 +277,22 @@ class TestBoardStatus:
                 if brute_lis(board) >= 3 and brute_lds(board) >= 3:
                     prefix = board[:-1]
                     assert brute_lis(prefix) >= 3 or brute_lds(prefix) >= 3
+
+        cube = boolean_lattice(3)
+        legal = 0
+        stack = [()]
+        while stack:
+            board = stack.pop()
+            for e in cube.elements:
+                if e not in board:
+                    child = board + (e,)
+                    up = longest_ascending(child, cube)[0]
+                    down = longest_descending(child, cube)[0]
+                    assert up < 3 or down < 3, child
+                    legal += 1
+                    if up < 3 and down < 3:
+                        stack.append(child)
+        assert legal == 23_176
 
     def test_ongoing(self):
         assert board_status([2], FiniteChain(4), GameParams(3, 3)) is BoardStatus.ONGOING
