@@ -81,7 +81,6 @@ from .q_solver import (
     p4_set,
     p5_set,
     position_symmetry_holds,
-    reachable_words,
     solve_q,
     sufficient_pset_transcript,
     typed_reachable_graph,

@@ -13,8 +13,9 @@ count its longest descending one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Optional
+
+from .errors import CHECK_EVERY, check_memory
 
 ColourWord = str
 
@@ -146,16 +147,27 @@ def enumerate_admissible(length: int) -> list[ColourWord]:
     """All admissible words of exactly the given length, in lexicographic
     order with B < P < R.  Counts follow the alternate Fibonacci numbers
     1, 3, 8, 21, 55, 144, ... for length 1, 2, 3, ...
+
+    Words grow one letter at a time, keeping only prefixes that some
+    admissible word extends: no B first or after an R, and no R last.  Such
+    a word has a P, as its letters cannot all be R.  The growing list is
+    checked against the memory guard like a memo.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return [""]
-    return [
-        w
-        for letters in product(_ALPHABET, repeat=length)
-        if is_admissible(w := "".join(letters))
-    ]
+    words = [""]
+    for i in range(length):
+        letters = (BLUE, PURPLE) if i == length - 1 else _ALPHABET
+        grown: list[ColourWord] = []
+        for w in words:
+            for ch in letters:
+                if ch == BLUE and (not w or w[-1] == RED):
+                    continue
+                grown.append(w + ch)
+                if len(grown) % CHECK_EVERY == 1:
+                    check_memory(grown)
+        words = grown
+    return words
 
 
 def binary_encode(word: ColourWord) -> str:

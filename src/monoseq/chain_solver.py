@@ -38,7 +38,6 @@ from .errors import CHECK_EVERY, check_memory
 from .order_core import (
     _D,
     _N,
-    _OUT,
     _P,
     FiniteChain,
     GameParams,
@@ -275,7 +274,7 @@ def _make_search(params: GameParams, memo: dict):
         out += range(tail + (right - hi << sr), tail + (right - gj << sr), -fr)
         return out
 
-    def value(state: int) -> int:
+    def value(state: int) -> Outcome:
         v = memo_get(state)
         if v is not None:
             return v
@@ -287,8 +286,7 @@ def _make_search(params: GameParams, memo: dict):
         rows = word_rows.get(wid)
         if rows is None:
             rows = build(wid)
-        result = -1
-        saw_draw = False
+        out = _P
         for sj, skip, _, data in rows:
             gj = g >> sj & fmask
             if not gj or g & skip:
@@ -297,14 +295,13 @@ def _make_search(params: GameParams, memo: dict):
                 cv = memo_get(child)
                 if cv is None:
                     cv = value(child)
-                if cv == _P:
-                    result = _N
+                if cv is _P:
+                    out = _N
                     break
-                if cv == _D:
-                    saw_draw = True
-            if result >= 0:
+                if cv is _D:
+                    out = _D
+            if out is _N:
                 break
-        out = result if result >= 0 else (_D if saw_draw else _P)
         memo[state] = out
         if len(memo) % CHECK_EVERY == 1:
             check_memory(memo)
@@ -359,9 +356,9 @@ class ChainSolver:
         start_nodes = len(self._memo)
         outcome, swm = self._solve_root(n)
         nodes = len(self._memo) - start_nodes
-        return SolveReport(_OUT[outcome], nodes, swm, time.perf_counter() - t0)
+        return SolveReport(outcome, nodes, swm, time.perf_counter() - t0)
 
-    def _solve_root(self, n: int) -> tuple[int, Optional[int]]:
+    def _solve_root(self, n: int) -> tuple[Outcome, Optional[int]]:
         """Scan the root's splits in ascending card order.
 
         The root gap holds min(n, B(a, d)) cards.  Split l is the card l+1
@@ -374,17 +371,17 @@ class ChainSolver:
         gap = min(n, self._bound)
         ((_, _, crit, data),) = self._word_rows(_wid(""))
         lo = large_gap_bound(self.params.a, self.params.d - 1)
-        saw_draw = False
+        out = _P
         for l, child in enumerate(self._split(gap, gap, data[:-1] + (0,))):
             if child & crit:
                 # The opponent completes a critical sequence: N.
                 continue
             cv = value(child)
-            if cv == _P:
+            if cv is _P:
                 return _N, (l + 1 if l <= lo else n - (gap - 1 - l))
-            if cv == _D:
-                saw_draw = True
-        return (_D if saw_draw else _P), None
+            if cv is _D:
+                out = _D
+        return out, None
 
 
 #: Former name of the clamped search, kept for callers that construct it.

@@ -78,9 +78,9 @@ def memory_budget() -> float:
 
 def check_memory(memo) -> None:
     """Raise ResourceLimitError once resident memory (Linux's statm, else
-    the getrusage peak, else unchecked) plus the table that the dict or set
-    ``memo`` allocates at its next resize, twice its current one while the
-    old one is still held, passes the budget."""
+    the getrusage peak, else unchecked) plus the table that the dict, set or
+    list ``memo`` allocates at its next resize, at most twice its current
+    one while the old one is still held, passes the budget."""
     try:
         with open("/proc/self/statm", "rb") as fh:
             resident = int(fh.read().split()[1]) * mmap.PAGESIZE

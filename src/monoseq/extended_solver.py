@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import CHECK_EVERY, check_memory
-from .order_core import _N, _OUT, _P, Outcome
+from .order_core import _N, _P, Outcome
 
 Perm = tuple[int, ...]
 
@@ -154,7 +154,7 @@ def _near_terminal(perm: Perm, a: int, d: int) -> bool:
     return lis(perm) >= a - 1 or lds(perm) >= d - 1
 
 
-def _solve_extended_types(a: int, d: int) -> dict[Perm, int]:
+def _solve_extended_types(a: int, d: int) -> dict[Perm, Outcome]:
     """Type every expanded pattern reachable from the empty one.
 
     A pattern with LIS >= a-1 or LDS >= d-1 is near-terminal: unless it is
@@ -169,9 +169,9 @@ def _solve_extended_types(a: int, d: int) -> dict[Perm, int]:
     if a < 2 or d < 2:
         raise ValueError("critical lengths must be at least 2")
     symmetric = a == d
-    memo: dict[Perm, int] = {}
+    memo: dict[Perm, Outcome] = {}
 
-    def value(perm: Perm) -> int:
+    def value(perm: Perm) -> Outcome:
         canon = min(_symmetry_variants(perm, symmetric))
         v = memo.get(canon)
         if v is not None:
@@ -180,7 +180,7 @@ def _solve_extended_types(a: int, d: int) -> dict[Perm, int]:
         for child in extensions(perm):
             if _near_terminal(child, a, d):
                 continue  # N, so never a winning move
-            if value(child) == _P:
+            if value(child) is _P:
                 t = _N
                 break
         memo[canon] = t
@@ -202,8 +202,7 @@ def solve_extended(a: int, d: int) -> Outcome:
     expansion, so only patterns with LIS <= a-2 and LDS <= d-2 are searched
     and memoized.
     """
-    types = _solve_extended_types(a, d)
-    return _OUT[types[()]]
+    return _solve_extended_types(a, d)[()]
 
 
 def principal_variation(a: int, d: int) -> list[Perm]:
@@ -217,7 +216,7 @@ def principal_variation(a: int, d: int) -> list[Perm]:
     types = _solve_extended_types(a, d)
     symmetric = a == d
 
-    def typed(perm: Perm) -> int:
+    def typed(perm: Perm) -> Outcome:
         if _near_terminal(perm, a, d):
             return _N  # never expanded, so never in the memo
         return types[min(_symmetry_variants(perm, symmetric))]
@@ -229,8 +228,8 @@ def principal_variation(a: int, d: int) -> list[Perm]:
     current: Perm = ()
     while not terminal(current):
         children = extensions(current)
-        if typed(current) == _N:
-            nxt = next(c for c in children if terminal(c) or typed(c) == _P)
+        if typed(current) is _N:
+            nxt = next(c for c in children if terminal(c) or typed(c) is _P)
         else:
             safe = [c for c in children if not _near_terminal(c, a, d)]
             nxt = safe[0] if safe else children[0]

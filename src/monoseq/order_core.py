@@ -34,9 +34,9 @@ class Outcome(enum.Enum):
         return self.value
 
 
-# The solvers' int encoding of outcomes: _OUT[code] is the Outcome.
-_N, _P, _D = 0, 1, 2
-_OUT = (Outcome.N, Outcome.P, Outcome.D)
+# Short names for the searches' hot loops, which memoize Outcome members
+# and compare them with ``is``.
+_N, _P, _D = Outcome.N, Outcome.P, Outcome.D
 
 
 class BoardStatus(enum.Enum):
@@ -382,9 +382,9 @@ def solve_poset(deck, params: GameParams) -> Outcome:
     elements = tuple(deck.elements)
     less = deck.less
     asc, desc, key = [0] * n, [0] * n, [0] * n  # key[i] = asc[i] * d + desc[i]
-    memo: dict[tuple, int] = {}
+    memo: dict[tuple, Outcome] = {}
 
-    def value(played: int) -> int:
+    def value(played: int) -> Outcome:
         state = tuple(key)
         cached = memo.get(state)
         if cached is not None:
@@ -402,10 +402,10 @@ def solve_poset(deck, params: GameParams) -> Outcome:
                 asc[i], desc[i], key[i] = up, down, up * d + down
                 cv = value(played + 1)
                 asc[i] = desc[i] = key[i] = 0
-            if cv == _P:
+            if cv is _P:
                 out = _N
                 break
-            if cv == _D:
+            if cv is _D:
                 out = _D
         memo[state] = out
         if len(memo) % CHECK_EVERY == 1:
@@ -413,7 +413,7 @@ def solve_poset(deck, params: GameParams) -> Outcome:
         return out
 
     try:
-        return _OUT[value(0)]
+        return value(0)
     finally:
         del value
 
@@ -465,18 +465,12 @@ def draw_reachable(deck, params: GameParams) -> bool:
 # ---------------------------------------------------------------------------
 # Involution mirror strategies
 
-def _coerce_flavour(flavour) -> InvolutionFlavour:
-    if isinstance(flavour, InvolutionFlavour):
-        return flavour
-    return InvolutionFlavour(flavour)
-
-
 def validate_involution(deck: FinitePoset, involution: Mapping, flavour) -> bool:
     """Check that a map is a fixed-point-free involution of the stated
     flavour; for the order-reversing flavour additionally check that any
     comparable pair {x, x^i} consists of a minimal and a maximal element.
     """
-    flavour = _coerce_flavour(flavour)
+    flavour = InvolutionFlavour(flavour)
     elements = tuple(deck.elements)
     try:
         images = {x: involution[x] for x in elements}
@@ -519,7 +513,7 @@ def mirror_strategy(
     involution image of the opponent's last move.  This is a normal-play
     guarantee; misere parameters are rejected.
     """
-    flavour = _coerce_flavour(flavour)
+    flavour = InvolutionFlavour(flavour)
     if params.mode is not Mode.NORMAL:
         raise StrategyInapplicableError("mirror strategies are normal-play strategies")
     if not validate_involution(deck, involution, flavour):

@@ -10,9 +10,10 @@ produced it wins.
 move and builds only the child words that can be P positions (see
 ``_typed_ints``).  ``typed_reachable_graph`` types the
 full reachable graph, and so do ``position_symmetry_holds`` and
-``verify_strategy_stealing_case``, which read it.  Both read a word's
-children through one view, ``bumping._capped_child_ids``; full typing
-passes infinite caps.
+``verify_strategy_stealing_case``, which read it.  Both, and the exact
+P-set checker, read a word's children through one view,
+``bumping._capped_child_ids``; full typing and the checker pass infinite
+caps.
 
 Besides the exact solver this module carries the P-position certificates
 for d = 4 and d = 5 and their checkers, a duality check between normal and
@@ -36,7 +37,7 @@ from .bumping import (
     reverse_complement,
 )
 from .errors import CHECK_EVERY, InvariantError, check_memory
-from .order_core import _N, _OUT, _P, GameParams, Mode, Outcome
+from .order_core import _N, _P, GameParams, Mode, Outcome
 
 
 def colour_children(word: str) -> tuple[str, ...]:
@@ -67,7 +68,7 @@ def is_terminal_q(word: str, params: GameParams) -> bool:
 _EMPTY = _wid("")
 
 
-def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
+def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, Outcome]:
     """Type the words reachable in play of (a, d, Q), keyed by word id.
 
     Without ``cutoff`` every reachable word is typed; this is the graph
@@ -93,10 +94,10 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
     if cutoff:
         caps = (a - 1, d - 1) if normal else (a, d)
     depth_limit = (a - 1) * (d - 1) + 1
-    types: dict[int, int] = {}
+    types: dict[int, Outcome] = {}
     on_stack: set[int] = set()
 
-    def visit(wid: int) -> int:
+    def visit(wid: int) -> Outcome:
         r, b = _word_counts[wid]
         if r >= a or b >= d:
             t = terminal
@@ -114,7 +115,7 @@ def _typed_ints(params: GameParams, *, cutoff: bool = False) -> dict[int, int]:
             t = _P
             for child in _capped_child_ids(wid, *caps):
                 ct = types.get(child)
-                if (visit(child) if ct is None else ct) == _P:
+                if (visit(child) if ct is None else ct) is _P:
                     t = _N
                     if cutoff:
                         break
@@ -137,34 +138,12 @@ def solve_q(params: GameParams) -> Outcome:
     Stops at the first winning move (see ``_typed_ints``).  Never D: a
     dense order has no infinite antichain, so no draws exist.
     """
-    return _OUT[_typed_ints(params, cutoff=True)[_EMPTY]]
+    return _typed_ints(params, cutoff=True)[_EMPTY]
 
 
 def typed_reachable_graph(params: GameParams) -> dict[str, Outcome]:
     """Every word reachable in play, mapped to its outcome type."""
-    return {_word_text[w]: _OUT[t] for w, t in _typed_ints(params).items()}
-
-
-def reachable_words(params: GameParams) -> tuple[str, ...]:
-    """All words reachable in play of (a, d, Q), in BFS discovery order.
-
-    Non-terminal words are expanded; terminal words appear as leaves.
-    """
-    a, d = params.a, params.d
-    seen = {_EMPTY}
-    check_memory(seen)
-    order = [_EMPTY]
-    for wid in order:  # order grows behind the loop: it is the BFS queue
-        r, b = _word_counts[wid]
-        if r >= a or b >= d:
-            continue
-        for child in _capped_child_ids(wid, math.inf, math.inf):
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-                if len(seen) % CHECK_EVERY == 1:
-                    check_memory(seen)
-    return tuple(map(_word_text.__getitem__, order))
+    return {_word_text[w]: t for w, t in _typed_ints(params).items()}
 
 
 def duality_check(a: int, d: int) -> bool:
@@ -213,19 +192,31 @@ def exact_pset_transcript(
     pset: set[str], params: GameParams
 ) -> Iterator[tuple[bool, str]]:
     """Check a set as exactly the non-terminal P-positions, one
-    ``(ok, line)`` per non-terminal position reachable in play.
+    ``(ok, line)`` per non-terminal position reachable in play, in
+    breadth-first order from the empty word.
 
     A position outside the set must have a child in the set or a terminal
-    child (its witness), and a member must have no such child.
+    child (its witness: the first such child in gap order), and a member
+    must have no such child.
     """
     a, d = params.a, params.d
-    for word in reachable_words(params):
-        if reddish(word) >= a or bluish(word) >= d:
-            continue
-        witness = next(
-            (c for c in colour_children(word) if c in pset or reddish(c) >= a or bluish(c) >= d),
-            None,
-        )
+    seen = {_EMPTY}
+    check_memory(seen)
+    order = [_EMPTY]
+    for wid in order:  # order grows behind the loop: it is the BFS queue
+        witness = None
+        for child in _capped_child_ids(wid, math.inf, math.inf):
+            r, b = _word_counts[child]
+            terminal = r >= a or b >= d
+            # By text: a member need not be interned yet.
+            if witness is None and (terminal or _word_text[child] in pset):
+                witness = _word_text[child]
+            if not terminal and child not in seen:
+                seen.add(child)
+                order.append(child)
+                if len(seen) % CHECK_EVERY == 1:
+                    check_memory(seen)
+        word = _word_text[wid]
         label = word if word else "(empty)"
         if word in pset:
             if witness is None:

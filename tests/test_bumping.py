@@ -152,7 +152,7 @@ class TestAdmissibility:
         assert [len(enumerate_admissible(k)) for k in range(1, 7)] == [1, 3, 8, 21, 55, 144]
 
     def test_enumeration_matches_filtering(self):
-        for k in range(0, 7):
+        for k in range(0, 11):
             brute = sorted(
                 "".join(w)
                 for w in product("BPR", repeat=k)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from monoseq import cli, errors
+from monoseq import cli, enumerate_admissible, errors
 from monoseq.chain_solver import ChainSolver, closed_form_d2, closed_form_d3, stabilization_bound
 from monoseq.cli import emit_table, run
 from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
@@ -186,6 +186,15 @@ class TestSolveCommands:
         code, out, err = invoke(capsys, "certify", "--pset", "p4", "--a", "6")
         assert code == 3
         assert "VERIFIED" not in out and "REFUTED" not in out
+        assert err.startswith("error: memory budget exceeded")
+        assert err.count("\n") == 1
+
+    def test_enumerate_memory_guard_exit_code(self, capsys, zero_budget):
+        with pytest.raises(errors.ResourceLimitError, match="memory budget exceeded"):
+            enumerate_admissible(8)
+        code, out, err = invoke(capsys, "enumerate", "admissible", "--length", "8")
+        assert code == 3
+        assert out == ""
         assert err.startswith("error: memory budget exceeded")
         assert err.count("\n") == 1
 

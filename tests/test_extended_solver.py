@@ -212,10 +212,10 @@ def full_expansion_types(a: int, d: int) -> dict:
             return memo[canon]
         has_p = False
         for child in extensions(perm):
-            if lis(child) >= a or lds(child) >= d or value(child) == 1:
+            if lis(child) >= a or lds(child) >= d or value(child) == Outcome.P:
                 has_p = True
                 break
-        memo[canon] = 0 if has_p else 1  # 0 is N, 1 is P
+        memo[canon] = Outcome.N if has_p else Outcome.P
         return memo[canon]
 
     value(())
@@ -240,8 +240,8 @@ def full_expansion_line(a: int, d: int) -> list:
     current = ()
     while not terminal(current):
         children = extensions(current)
-        if typed(current) == 0:
-            nxt = next(c for c in children if terminal(c) or typed(c) == 1)
+        if typed(current) == Outcome.N:
+            nxt = next(c for c in children if terminal(c) or typed(c) == Outcome.P)
         else:
             safe = [c for c in children if not terminal(c) and not suicidal(c)]
             nxt = safe[0] if safe else children[0]

@@ -13,6 +13,7 @@ from monoseq import (
     GameParams,
     Mode,
     Outcome,
+    bluish,
     colour_children,
     duality_check,
     exact_pset_transcript,
@@ -21,7 +22,7 @@ from monoseq import (
     p4_set,
     p5_set,
     position_symmetry_holds,
-    reachable_words,
+    reddish,
     reverse_complement,
     solve_q,
     sufficient_pset_transcript,
@@ -101,11 +102,11 @@ class TestSolveQ:
             for d in range(2, 9):
                 assert solve_q(GameParams(a, d)) is not Outcome.D
 
-    def test_reachable_words_admissible_and_bounded(self):
-        params = GameParams(4, 4)
-        words = reachable_words(params)
-        assert "" in words
-        for w in words:
+    def test_transcript_walk_admissible_from_empty(self):
+        lines = [line for _, line in exact_pset_transcript(p4_set(4), GameParams(4, 4))]
+        labels = [line.split(":")[0].split()[-1] for line in lines]
+        assert labels[0] == "(empty)"
+        for w in labels[1:]:
             assert is_admissible(w)
 
     def test_depth_and_acyclicity_assertions_silent(self):
@@ -125,7 +126,7 @@ class TestSolveQ:
                 params = GameParams(a, d, mode)
                 assert solve_q(params) is typed_reachable_graph(params)[""], params
 
-    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph, reachable_words])
+    @pytest.mark.parametrize("solve", [solve_q, typed_reachable_graph])
     def test_memory_guard(self, zero_budget, solve):
         with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
             solve(GameParams(4, 4))
@@ -197,6 +198,38 @@ class TestDuality:
         assert solve_q(GameParams(3, 3, Mode.MISERE)) is Outcome.N
 
 
+def referee_exact_transcript(pset: set, params: GameParams):
+    """The exact checker's transcript from a string-level walk: every word
+    reachable in play in breadth-first order from the empty word, each
+    non-terminal one read through colour_children."""
+    a, d = params.a, params.d
+
+    def terminal(word: str) -> bool:
+        return reddish(word) >= a or bluish(word) >= d
+
+    order, seen = [""], {""}
+    for word in order:
+        if not terminal(word):
+            for child in colour_children(word):
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+    for word in order:
+        if terminal(word):
+            continue
+        witness = next((c for c in colour_children(word) if c in pset or terminal(c)), None)
+        label = word if word else "(empty)"
+        if word in pset:
+            if witness is None:
+                yield True, f"  member {label}: no member or terminal child ok"
+            else:
+                yield False, f"  member {label}: unexpected witness {witness} FAIL"
+        elif witness is None:
+            yield False, f"  {label}: no witness FAIL"
+        else:
+            yield True, f"  {label}: witness {witness} ok"
+
+
 class TestPSets:
     def test_p4_materializations(self):
         # The R^i PP family starts contributing at a = 5 (i = 0); the typed
@@ -234,6 +267,15 @@ class TestPSets:
 
     def test_p_alone_not_sufficient_for_44(self):
         assert not verify_sufficient_pset({"P"}, GameParams(4, 4))
+
+    @pytest.mark.parametrize("a", range(4, 9))
+    def test_exact_transcript_matches_string_walk(self, a):
+        # Line for line, order included, on p4 and each one-member removal.
+        params = GameParams(a, 4)
+        base = p4_set(a)
+        for pset in [base] + [base - {m} for m in sorted(base)]:
+            expected = list(referee_exact_transcript(pset, params))
+            assert list(exact_pset_transcript(pset, params)) == expected, sorted(pset)
 
     def test_exact_p4_mutations_fail(self):
         base = p4_set(6)
