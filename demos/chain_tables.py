@@ -4,8 +4,7 @@ Run:  python demos/chain_tables.py
 """
 
 from monoseq import ChainSolver, GameParams, Mode, stabilization_bound
-from monoseq.cli import emit_table
-from monoseq.golden import MISERE_ROWS
+from monoseq.golden import MISERE_ROWS, emit_table
 
 MAX_N = 12
 

@@ -15,7 +15,7 @@ import signal
 import sys
 import time
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import golden
 from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
@@ -37,42 +37,6 @@ QUICK_CHAIN_N = 12
 FULL_CHAIN_N = 20
 QUICK_Q_A = 10
 FULL_Q_A = 16
-
-
-# ---------------------------------------------------------------------------
-# Table rendering
-
-TableRow = tuple[int, int, int, Mode, Outcome]
-
-
-def emit_table(rows: Iterable[TableRow]) -> str:
-    """Render outcome rows in the published row layout.
-
-    Deck sizes are grouped in fives per (a, d) row; holes in a row render
-    as '?' and are called out in a trailing warning line.
-    """
-    by_row: dict[tuple[int, int, Mode], dict[int, Outcome]] = {}
-    for a, d, n, m, o in rows:
-        by_row.setdefault((a, d, m), {})[n] = o
-    lines = []
-    gaps = []
-    for (a, d, m) in sorted(by_row, key=lambda k: (k[2].value, k[0], k[1])):
-        outcomes = by_row[(a, d, m)]
-        n_max = max(outcomes)
-        letters = []
-        for n in range(1, n_max + 1):
-            if n in outcomes:
-                letters.append(outcomes[n].value)
-            else:
-                letters.append("?")
-                gaps.append(f"a={a} d={d} mode={m.value} n={n}")
-        grouped = " ".join(
-            "".join(letters[i : i + 5]) for i in range(0, len(letters), 5)
-        )
-        lines.append(f"{a} {d} {m.value:7s} {grouped}")
-    if gaps:
-        lines.append("warning: table incomplete, missing " + ", ".join(gaps))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +113,15 @@ def _parse_values(text: str) -> list[int]:
 
 
 def _cmd_bump(args) -> int:
-    values = _parse_values(args.trace)
+    # Build every line before printing, so a bad value prints no partial trace.
     rec = RecordingSequence()
-    for v in values:
+    lines = []
+    for v in _parse_values(args.trace):
         rec = double_bump_step(rec, v)
         entries = " ".join(f"{e.value}:{e.letter}" for e in rec.entries)
-        print(f"play {v} -> recording {entries} | colour {rec.colour_word()}")
+        lines.append(f"play {v} -> recording {entries} | colour {rec.colour_word()}")
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -184,25 +151,20 @@ def _cmd_certify(args) -> int:
 
 
 def _verify_chain_table(mode: Mode, args) -> Iterator[tuple]:
-    """Exact chain outcomes against the golden table of one play mode."""
-    max_n = args.max_n
-    if max_n is None:
-        max_n = FULL_CHAIN_N if args.full else QUICK_CHAIN_N
-    elif max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {max_n}")
+    """Exact chain outcomes against the golden table of one play mode: every
+    row of that mode in a --golden file, or else the embedded rows up to the
+    quick or the full deck size."""
     if args.golden is not None:
         with open(args.golden) as fh:
             cases = [
                 (a, d, n, o)
                 for a, d, n, m, o in golden.load_csv_rows(fh.read(), args.golden)
-                if m is mode and n <= max_n
+                if m is mode
             ]
         if not cases:
-            raise ValueError(
-                f"{args.golden}: no {mode.value} rows with n <= {max_n}"
-            )
+            raise ValueError(f"{args.golden}: no {mode.value} rows")
     else:
-        cases = golden.golden_cases(mode, max_n)
+        cases = golden.golden_cases(mode, FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
     # Golden rows come grouped by (a, d), and verify runs each case before
     # it draws the next, so one solver at a time is live; an interleaved
     # --golden file only costs rebuilt tables.
@@ -218,11 +180,7 @@ def _verify_chain_table(mode: Mode, args) -> Iterator[tuple]:
 
 
 def _verify_q_theorems(args) -> Iterator[tuple]:
-    max_a = args.max_a
-    if max_a is None:
-        max_a = FULL_Q_A if args.full else QUICK_Q_A
-    elif max_a < 2:
-        raise ValueError(f"--max-a must be at least 2, got {max_a}")
+    max_a = FULL_Q_A if args.full else QUICK_Q_A
     cases = [(a, 2, Outcome.P) for a in range(2, max_a + 1)]
     cases += [(a, 3, Outcome.N if a % 2 else Outcome.P) for a in range(3, max_a + 1)]
     top_d = 8 if args.full else 6
@@ -261,19 +219,18 @@ _SUITES = {
 # The verify flags that some suites read; no other suite accepts them.
 _SUITE_FLAGS = {
     "golden": ("misere-table", "normal-results"),
-    "max_n": ("misere-table", "normal-results"),
-    "max_a": ("q-theorems",),
     "full": ("misere-table", "normal-results", "q-theorems", "extended-parity"),
 }
 
 
 def _cmd_verify(args) -> int:
     for dest, suites in _SUITE_FLAGS.items():
-        # --full stores False when absent, the other flags None.
+        # --full stores False when absent, --golden None.
         given = getattr(args, dest)
         if given is not None and given is not False and args.suite not in suites:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to suite {args.suite}")
+            raise ValueError(f"--{dest} does not apply to suite {args.suite}")
+    if args.full and args.golden is not None:
+        raise ValueError("--full does not apply with --golden, whose rows set the range")
     rows = []
     elapsed = 0.0
     for case_id, expected, solve in _SUITES[args.suite](args):
@@ -406,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a golden regression suite")
     verify.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    verify.add_argument("--max-n", type=int, default=None)
-    verify.add_argument("--max-a", type=int, default=None)
     verify.add_argument("--full", action="store_true", help="run the full published ranges")
     verify.add_argument("--format", choices=["text", "csv", "json"], default="text")
     verify.add_argument("--golden", metavar="FILE", help="golden CSV used instead of the embedded tables")

@@ -8,7 +8,8 @@ and (5,5).  A '?' marks deck sizes with no published value.
 These embedded rows and closed forms are the only shipped golden table.
 An outside table in the CSV layout (``a,d,n,mode,outcome``) can stand in
 for them (``verify --golden FILE``); a row of it that does not parse is an
-error naming the file and line.
+error naming the file and line.  ``emit_table`` renders rows in the
+published layout.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .chain_solver import closed_form_d2, closed_form_d3
 from .order_core import Mode, Outcome
 
 MAX_N = 20
+
+TableRow = tuple[int, int, int, Mode, Outcome]
 
 # Misere winner, n = 1..20.
 MISERE_ROWS: dict[tuple[int, int], str] = {
@@ -82,9 +85,7 @@ def golden_cases(mode: Mode, max_n: int = MAX_N) -> list[tuple[int, int, int, Ou
     return cases
 
 
-def load_csv_rows(
-    text: str, source: str = "<golden csv>"
-) -> list[tuple[int, int, int, Mode, Outcome]]:
+def load_csv_rows(text: str, source: str = "<golden csv>") -> list[TableRow]:
     """Parse golden CSV with columns a,d,n,mode,outcome.
 
     A malformed row raises ValueError naming the source and line.
@@ -109,8 +110,38 @@ def load_csv_rows(
     return rows
 
 
-def dump_csv_rows(rows: Iterable[tuple[int, int, int, Mode, Outcome]]) -> str:
+def dump_csv_rows(rows: Iterable[TableRow]) -> str:
     lines = ["a,d,n,mode,outcome"]
     for a, d, n, mode, outcome in rows:
         lines.append(f"{a},{d},{n},{mode.value},{outcome.value}")
     return "\n".join(lines) + "\n"
+
+
+def emit_table(rows: Iterable[TableRow]) -> str:
+    """Render outcome rows in the published row layout.
+
+    Deck sizes are grouped in fives per (a, d) row; holes in a row render
+    as '?' and are called out in a trailing warning line.
+    """
+    by_row: dict[tuple[int, int, Mode], dict[int, Outcome]] = {}
+    for a, d, n, m, o in rows:
+        by_row.setdefault((a, d, m), {})[n] = o
+    lines = []
+    gaps = []
+    for (a, d, m) in sorted(by_row, key=lambda k: (k[2].value, k[0], k[1])):
+        outcomes = by_row[(a, d, m)]
+        n_max = max(outcomes)
+        letters = []
+        for n in range(1, n_max + 1):
+            if n in outcomes:
+                letters.append(outcomes[n].value)
+            else:
+                letters.append("?")
+                gaps.append(f"a={a} d={d} mode={m.value} n={n}")
+        grouped = " ".join(
+            "".join(letters[i : i + 5]) for i in range(0, len(letters), 5)
+        )
+        lines.append(f"{a} {d} {m.value:7s} {grouped}")
+    if gaps:
+        lines.append("warning: table incomplete, missing " + ", ".join(gaps))
+    return "\n".join(lines)

@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,8 +16,8 @@ import pytest
 
 from monoseq import cli, enumerate_admissible, errors
 from monoseq.chain_solver import ChainSolver, closed_form_d2, closed_form_d3, stabilization_bound
-from monoseq.cli import emit_table, run
-from monoseq.golden import dump_csv_rows, golden_cases, load_csv_rows
+from monoseq.cli import run
+from monoseq.golden import dump_csv_rows, emit_table, golden_cases, load_csv_rows
 from monoseq.order_core import GameParams, Mode, Outcome
 
 from conftest import RefereeChainSearch
@@ -265,6 +266,18 @@ class TestBumpTrace:
         assert code == 0
         assert out.strip().splitlines()[-1].endswith("PP")
 
+    @pytest.mark.parametrize("trace", ["5,5", "1,2,3,2", "5,x"])
+    def test_bad_value_prints_no_partial_trace(self, capsys, trace):
+        # A repeat late in the trace, or a value that does not parse, prints
+        # none of the lines before it.
+        code, out, err = invoke(capsys, "bump", "--trace", trace)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_empty_trace_prints_nothing(self, capsys):
+        assert invoke(capsys, "bump", "--trace", "") == (0, "", "")
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -307,16 +320,12 @@ class TestVerify:
         assert "0 failed" in out
 
     def test_misere_suite_quick_slice(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "--suite", "misere-table", "--max-n", "6"
-        )
+        code, out, _ = invoke(capsys, "verify", "--suite", "misere-table")
         assert code == 0
         assert "misere a=3 d=3 n=4: expected N actual N PASS" in out
 
     def test_normal_suite_quick_slice(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "--suite", "normal-results", "--max-n", "6"
-        )
+        code, _, _ = invoke(capsys, "verify", "--suite", "normal-results")
         assert code == 0
 
     def test_verify_is_deterministic(self, capsys):
@@ -333,14 +342,17 @@ class TestVerify:
         assert len(payload["cases"]) == 6
 
     @pytest.mark.parametrize("suite", sorted(cli._SUITES))
-    def test_verify_csv_format(self, capsys, suite):
+    def test_verify_csv_format(self, capsys, tmp_path, suite):
         # One CSV line and one text line per case, holding the same fields
-        # as the JSON report.
-        limit = {
-            "misere-table": ("--max-n", "6"),
-            "normal-results": ("--max-n", "6"),
-            "q-theorems": ("--max-a", "5"),
-        }.get(suite, ())
+        # as the JSON report.  The chain suites read a short golden file.
+        limit = ()
+        mode = {"misere-table": Mode.MISERE, "normal-results": Mode.NORMAL}.get(suite)
+        if mode is not None:
+            path = tmp_path / "golden.csv"
+            path.write_text(
+                dump_csv_rows((a, d, n, mode, o) for a, d, n, o in golden_cases(mode, 6))
+            )
+            limit = ("--golden", str(path))
         outputs = {}
         for fmt in ("text", "csv", "json"):
             code, outputs[fmt], _ = invoke(
@@ -361,34 +373,28 @@ class TestVerify:
             for c in cases
         ] + [f"SUITE {suite}: {len(cases)} passed, 0 failed"]
 
+    def test_help_lists_only_four_settings(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "-h")
+        assert code == 0
+        flags = set(re.findall(r"--[a-z-]+", out))
+        assert flags == {"--help", "--suite", "--full", "--format", "--golden"}
+
     @pytest.mark.parametrize(
         "suite,flag,value",
-        [
-            ("misere-table", "--max-n", "0"),
-            ("misere-table", "--max-n", "-1"),
-            ("normal-results", "--max-n", "0"),
-            ("q-theorems", "--max-a", "1"),
-            ("q-theorems", "--max-a", "0"),
-        ],
+        [("misere-table", "--max-n", "6"), ("q-theorems", "--max-a", "5")],
     )
-    def test_degenerate_range_rejected(self, capsys, suite, flag, value):
-        code, out, err = invoke(capsys, "verify", "--suite", suite, flag, value)
+    def test_range_flags_are_gone(self, capsys, suite, flag, value):
+        # --full or a golden file sets the range; there is no other knob.
+        code, out, _ = invoke(capsys, "verify", "--suite", suite, flag, value)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and flag in err
 
     @pytest.mark.parametrize(
         "suite,flag,value",
         [
             ("admissible-counts", "--golden", "/nonexistent"),
-            ("admissible-counts", "--max-n", "3"),
-            ("admissible-counts", "--max-a", "0"),
             ("admissible-counts", "--full", None),
-            ("misere-table", "--max-a", "3"),
-            ("normal-results", "--max-a", "3"),
             ("q-theorems", "--golden", "golden.csv"),
-            ("q-theorems", "--max-n", "3"),
-            ("extended-parity", "--max-n", "3"),
         ],
     )
     def test_flag_of_another_suite_rejected(self, capsys, suite, flag, value):
@@ -405,6 +411,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["misere-table", "normal-results"])
+    def test_full_with_golden_rejected(self, capsys, tmp_path, suite):
+        # A golden file sets its own range, so --full does not apply to it.
+        path = tmp_path / "golden.csv"
+        path.write_text("a,d,n,mode,outcome\n3,3,4,misere,N\n3,3,4,normal,P\n")
+        code, out, err = invoke(
+            capsys, "verify", "--suite", suite, "--golden", str(path), "--full"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --full") and err.count("\n") == 1
 
     def test_golden_mismatch_exit_code(self, capsys, tmp_path):
         bogus = tmp_path / "golden.csv"
@@ -561,15 +579,46 @@ class TestGoldenData:
         path = tmp_path / "golden.csv"
         path.write_text(
             dump_csv_rows(
-                (a, d, n, Mode.MISERE, o) for a, d, n, o in golden_cases(Mode.MISERE)
+                (a, d, n, Mode.MISERE, o) for a, d, n, o in golden_cases(Mode.MISERE, 6)
             )
         )
         code, out, _ = invoke(
-            capsys, "verify", "--suite", "misere-table", "--max-n", "6",
-            "--golden", str(path),
+            capsys, "verify", "--suite", "misere-table", "--golden", str(path)
         )
         assert code == 0
         assert "0 failed" in out
+
+    @pytest.mark.parametrize(
+        "mode,suite", [(Mode.MISERE, "misere-table"), (Mode.NORMAL, "normal-results")]
+    )
+    def test_verify_checks_every_golden_row(self, capsys, tmp_path, mode, suite):
+        # No quick deck size filters a golden file: rows past n = 12 run too.
+        rows = [(a, d, n, o) for a, d, n, o in golden_cases(mode) if (a, d) == (3, 3)]
+        assert [n for _, _, n, _ in rows] == list(range(1, 21))
+        path = tmp_path / "golden.csv"
+        path.write_text(dump_csv_rows((a, d, n, mode, o) for a, d, n, o in rows))
+        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--golden", str(path))
+        assert code == 0
+        last = rows[-1][3].value
+        assert f"{mode.value} a=3 d=3 n=20: expected {last} actual {last} PASS" in out
+        assert out.endswith(f"SUITE {suite}: 20 passed, 0 failed\n")
+
+    def test_verify_fails_a_wrong_golden_row_past_quick_range(self, capsys, tmp_path):
+        # A wrong row past n = 12 is checked and fails, not dropped.
+        (a, d, n, o), = [
+            row for row in golden_cases(Mode.MISERE) if row[:3] == (3, 3, 20)
+        ]
+        flipped = Outcome.P if o is Outcome.N else Outcome.N
+        path = tmp_path / "golden.csv"
+        path.write_text(dump_csv_rows([(a, d, n, Mode.MISERE, flipped)]))
+        code, out, _ = invoke(
+            capsys, "verify", "--suite", "misere-table", "--golden", str(path)
+        )
+        assert code == 1
+        assert (
+            f"misere a=3 d=3 n=20: expected {flipped.value} actual {o.value} FAIL" in out
+        )
+        assert out.endswith("SUITE misere-table: 0 passed, 1 failed\n")
 
     def test_verify_golden_rows_past_31(self, capsys, tmp_path):
         # Any deck size solves: closed-form rows at n = 32 and 40.
@@ -578,8 +627,7 @@ class TestGoldenData:
         path = tmp_path / "golden.csv"
         path.write_text(dump_csv_rows(rows))
         code, out, _ = invoke(
-            capsys, "verify", "--suite", "normal-results", "--max-n", "40",
-            "--golden", str(path),
+            capsys, "verify", "--suite", "normal-results", "--golden", str(path)
         )
         assert code == 0
         assert "SUITE normal-results: 8 passed, 0 failed" in out
@@ -612,7 +660,7 @@ class TestGoldenData:
         assert str(path) in err and "misere" in err
 
     def test_q_theorems_suite(self, capsys):
-        code = run(["verify", "--suite", "q-theorems", "--max-a", "8"])
+        code = run(["verify", "--suite", "q-theorems"])
         out = capsys.readouterr().out
         assert code == 0
         assert "q a=8 d=4 normal: expected N actual N PASS" in out
