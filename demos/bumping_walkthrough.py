@@ -8,6 +8,7 @@ from monoseq import (
     binary_encode,
     bluish,
     colour_of,
+    double_bump_step,
     enumerate_admissible,
     insert_purple,
     reddish,
@@ -16,7 +17,7 @@ from monoseq import (
 print("Double bumping the sequence 5 1 4 2 6 3:")
 rec = RecordingSequence()
 for value in [5, 1, 4, 2, 6, 3]:
-    rec = rec.insert(value)
+    rec = double_bump_step(rec, value)
     marks = " ".join(f"{e.value}:{e.letter}" for e in rec.entries)
     print(f"  play {value} -> {marks:24s} colour {rec.colour_word()}")
 

@@ -58,12 +58,6 @@ class RecordingSequence:
     def colour_word(self) -> ColourWord:
         return "".join(e.letter for e in self.entries)
 
-    def insert(self, value) -> "RecordingSequence":
-        return double_bump_step(self, value)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def double_bump_step(rec: RecordingSequence, value) -> RecordingSequence:
     """Insert one value into a recording sequence.
@@ -96,6 +90,7 @@ def double_bump_step(rec: RecordingSequence, value) -> RecordingSequence:
 def double_bump(values: Iterable) -> RecordingSequence:
     """Left fold of double_bump_step over a sequence of distinct values."""
     values = list(values)
+    # double_bump_step sees only the recorded values, not the dropped ones.
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
     rec = RecordingSequence()

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 from . import golden
 from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
 from .chain_solver import ChainSolver
-from .errors import ResourceLimitError
+from .errors import CHECK_EVERY, ResourceLimitError, check_memory
 from .extended_solver import insert_at, lds, lis, parity_outcome, safe_slot, solve_extended
 from .order_core import FinitePoset, GameParams, Mode, Outcome, solve_poset
 from .q_solver import (
@@ -34,7 +34,6 @@ from .q_solver import (
 )
 
 QUICK_CHAIN_N = 12
-FULL_CHAIN_N = 20
 QUICK_Q_A = 10
 FULL_Q_A = 16
 
@@ -164,7 +163,7 @@ def _verify_chain_table(mode: Mode, args) -> Iterator[tuple]:
         if not cases:
             raise ValueError(f"{args.golden}: no {mode.value} rows")
     else:
-        cases = golden.golden_cases(mode, FULL_CHAIN_N if args.full else QUICK_CHAIN_N)
+        cases = golden.golden_cases(mode, golden.MAX_N if args.full else QUICK_CHAIN_N)
     # Golden rows come grouped by (a, d), and verify runs each case before
     # it draws the next, so one solver at a time is live; an interleaved
     # --golden file only costs rebuilt tables.
@@ -269,6 +268,8 @@ def _cmd_scan(args) -> int:
     for n in range(args.n_from, args.n_to + 1):
         report = solver.solve(n)
         rows.append((n, report.outcome, report.smallest_winning_move))
+        if len(rows) % CHECK_EVERY == 1:
+            check_memory(rows)
     if args.format == "json":
         print(
             json.dumps(

@@ -76,40 +76,35 @@ class Decomposition:
     """Disjoint monotone index subsequences covering a permutation."""
 
     parts: tuple[tuple[int, ...], ...]
-    direction: str  # "increasing" or "decreasing"
 
     def part_values(self, perm: Perm) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(perm[i] for i in part) for part in self.parts)
 
 
-def greedy_increasing_decomposition(perm: Perm, cap: Optional[int] = None) -> Decomposition:
+def greedy_increasing_decomposition(perm: Perm) -> Decomposition:
     """Partition into increasing subsequences by the first-fit greedy scan.
 
-    Each element goes to the first part whose last value is smaller (and,
-    when ``cap`` is given, whose length is below the cap); otherwise a new
-    part opens.  Without a binding cap the number of parts equals the
-    longest decreasing subsequence.
+    Each element goes to the first part whose last value is smaller, else to
+    a new part; there are as many parts as the longest decreasing subsequence.
     """
     parts: list[list[int]] = []
     lasts: list[int] = []
     for idx, v in enumerate(perm):
         for p, last in enumerate(lasts):
-            if last < v and (cap is None or len(parts[p]) < cap):
+            if last < v:
                 parts[p].append(idx)
                 lasts[p] = v
                 break
         else:
             parts.append([idx])
             lasts.append(v)
-    return Decomposition(tuple(tuple(p) for p in parts), "increasing")
+    return Decomposition(tuple(tuple(p) for p in parts))
 
 
-def greedy_decreasing_decomposition(perm: Perm, cap: Optional[int] = None) -> Decomposition:
-    """Mirror of greedy_increasing_decomposition: decreasing parts, and
-    without a binding cap the part count equals the longest increasing
-    subsequence."""
-    negated = greedy_increasing_decomposition(tuple(-v for v in perm), cap)
-    return Decomposition(negated.parts, "decreasing")
+def greedy_decreasing_decomposition(perm: Perm) -> Decomposition:
+    """Mirror of greedy_increasing_decomposition (negated values keep its index
+    parts): as many decreasing parts as the longest increasing subsequence."""
+    return greedy_increasing_decomposition(tuple(-v for v in perm))
 
 
 def safe_slot(perm: Perm, r: int, s: int) -> Optional[tuple[int, int]]:

@@ -513,7 +513,6 @@ def mirror_strategy(
     involution image of the opponent's last move.  This is a normal-play
     guarantee; misere parameters are rejected.
     """
-    flavour = InvolutionFlavour(flavour)
     if params.mode is not Mode.NORMAL:
         raise StrategyInapplicableError("mirror strategies are normal-play strategies")
     if not validate_involution(deck, involution, flavour):

@@ -30,6 +30,7 @@ from .bumping import (
     _capped_child_ids,
     _wid,
     _word_counts,
+    _word_ids,
     _word_text,
     bluish,
     is_admissible,
@@ -152,6 +153,10 @@ def duality_check(a: int, d: int) -> bool:
     Winning the normal game forbids ever reaching a-1 ascending or d-1
     descending yourself while punishing an opponent who does, which is
     exactly the misere game one size down.
+
+    The normal cutoff search caps at (a-1, d-1), which makes it the misere
+    (a-1, d-1) search itself: this checks only that solve_q gives the same
+    answer twice.  The tests check the theorem by full typing on both sides.
     """
     if a < 3 or d < 3:
         raise ValueError("duality_check needs a, d >= 3")
@@ -193,7 +198,8 @@ def exact_pset_transcript(
 ) -> Iterator[tuple[bool, str]]:
     """Check a set as exactly the non-terminal P-positions, one
     ``(ok, line)`` per non-terminal position reachable in play, in
-    breadth-first order from the empty word.
+    breadth-first order from the empty word, then one failing line per
+    member that the walk did not reach, in sorted order.
 
     A position outside the set must have a child in the set or a terminal
     child (its witness: the first such child in gap order), and a member
@@ -227,6 +233,9 @@ def exact_pset_transcript(
             yield False, f"  {label}: no witness FAIL"
         else:
             yield True, f"  {label}: witness {witness} ok"
+    # Look members up by text, so that no junk word is interned.
+    for word in sorted(w for w in pset if _word_ids.get(w) not in seen):
+        yield False, f"  member {word}: not a non-terminal position reachable in play FAIL"
 
 
 def verify_exact_pset(pset: set[str], params: GameParams) -> bool:

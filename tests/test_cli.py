@@ -481,6 +481,17 @@ class TestScan:
         assert out == ""
         assert err.startswith("error:") and "--n-from" in err and "--n-to" in err
 
+    def test_memory_guard_checks_rows(self, capsys, zero_budget):
+        # Every n is below min(a, d), so no memo grows: only the row list
+        # meets the guard.
+        code, out, err = invoke(
+            capsys, "scan", "--a", "5", "--d", "5", "--n-from", "0", "--n-to", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: memory budget exceeded")
+        assert err.count("\n") == 1
+
 
 class TestLemmaSlot:
     def test_worked_example(self, capsys):

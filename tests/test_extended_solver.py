@@ -70,12 +70,10 @@ class TestExtensions:
 class TestGreedyDecompositions:
     def test_worked_example_increasing(self):
         dec = greedy_increasing_decomposition((5, 1, 4, 2, 6, 3))
-        assert dec.direction == "increasing"
         assert dec.part_values((5, 1, 4, 2, 6, 3)) == ((5, 6), (1, 4), (2, 3))
 
     def test_worked_example_decreasing(self):
         dec = greedy_decreasing_decomposition((5, 1, 4, 2, 6, 3))
-        assert dec.direction == "decreasing"
         assert len(dec.parts) == 3  # LIS is 3
 
     def test_monotone_extremes(self):
@@ -110,11 +108,6 @@ class TestGreedyDecompositions:
             for ip in inc:
                 for dp in dec:
                     assert len(set(ip) & set(dp)) <= 1
-
-    def test_cap_limits_part_length(self):
-        dec = greedy_increasing_decomposition(tuple(range(1, 7)), cap=2)
-        assert all(len(p) <= 2 for p in dec.parts)
-        assert len(dec.parts) == 3
 
 
 class TestSafeSlot:

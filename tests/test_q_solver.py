@@ -31,7 +31,7 @@ from monoseq import (
     verify_strategy_stealing_case,
     verify_sufficient_pset,
 )
-from monoseq import q_solver
+from monoseq import bumping, q_solver
 from monoseq.errors import InvariantError, ResourceLimitError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -189,6 +189,16 @@ class TestDuality:
             for d in range(3, 8):
                 assert duality_check(a, d), (a, d)
 
+    def test_full_typing_on_both_sides(self):
+        # duality_check's cutoff searches cap normal (a, d) at (a-1, d-1),
+        # which is the misere (a-1, d-1) search itself; full typing reads
+        # each side's own terminal rule.
+        for a in range(3, 9):
+            for d in range(3, 9):
+                normal = typed_reachable_graph(GameParams(a, d))[""]
+                misere = typed_reachable_graph(GameParams(a - 1, d - 1, Mode.MISERE))[""]
+                assert normal is misere, (a, d)
+
     def test_rejects_too_small(self):
         with pytest.raises(ValueError):
             duality_check(2, 3)
@@ -228,6 +238,8 @@ def referee_exact_transcript(pset: set, params: GameParams):
             yield False, f"  {label}: no witness FAIL"
         else:
             yield True, f"  {label}: witness {witness} ok"
+    for word in sorted(w for w in pset if w not in seen or terminal(w)):
+        yield False, f"  member {word}: not a non-terminal position reachable in play FAIL"
 
 
 class TestPSets:
@@ -283,6 +295,19 @@ class TestPSets:
             assert not verify_exact_pset(base - {member}, GameParams(6, 4)), member
             lines = exact_pset_transcript(base - {member}, GameParams(6, 4))
             assert any(not ok and "FAIL" in line for ok, line in lines), member
+
+    @pytest.mark.parametrize("extra", ["PPPP", "RRRRRP", "BBB", "XYZ"])
+    def test_exact_checker_fails_unreached_member(self, extra):
+        # Terminal, inadmissible or not a colour word: the walk never
+        # reaches such a member, so no line of the walk itself names it.
+        pset, params = p4_set(6) | {extra}, GameParams(6, 4)
+        assert not verify_exact_pset(pset, params)
+        lines = list(exact_pset_transcript(pset, params))
+        assert lines[-1] == (
+            False, f"  member {extra}: not a non-terminal position reachable in play FAIL"
+        )
+        assert lines == list(referee_exact_transcript(pset, params))
+        assert extra in ("PPPP", "RRRRRP") or extra not in bumping._word_ids
 
     def test_sufficient_p5_mutations_fail(self):
         base = p5_set(6)
