@@ -18,7 +18,7 @@ print("Double bumping the sequence 5 1 4 2 6 3:")
 rec = RecordingSequence()
 for value in [5, 1, 4, 2, 6, 3]:
     rec = double_bump_step(rec, value)
-    marks = " ".join(f"{e.value}:{e.letter}" for e in rec.entries)
+    marks = " ".join(f"{v}:{c}" for v, c in zip(rec.values(), rec.colour_word()))
     print(f"  play {value} -> {marks:24s} colour {rec.colour_word()}")
 
 word = rec.colour_word()

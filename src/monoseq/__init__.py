@@ -11,7 +11,6 @@ tables, certificates and counting results for all of them.
 
 from .bumping import (
     ColourWord,
-    RecEntry,
     RecordingSequence,
     binary_encode,
     bluish,

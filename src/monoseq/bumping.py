@@ -2,9 +2,11 @@
 
 Running Schensted's bumping algorithm for ascending subsequences and its
 dual for descending subsequences simultaneously yields a single increasing
-"recording sequence" whose entries carry an overline (ascending frontier),
-an underline (descending frontier), or both.  Colour words abstract the
-marks letterwise: R = overline only, B = underline only, P = both.
+"recording sequence".  Each of its values lies on the ascending frontier
+(overlined), the descending one (underlined) or both, and its colour word
+says which, letter by letter: R = overline only, B = underline only,
+P = both.  A recording sequence is just its values and its colour word,
+and a bump steps the word by _play, the move operator the solvers share.
 "Reddish" means R or P, "bluish" means B or P; the reddish count of a
 board's colour word equals its longest ascending subsequence, the bluish
 count its longest descending one.
@@ -12,6 +14,7 @@ count its longest descending one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -32,69 +35,52 @@ _RC_TABLE = str.maketrans("RB", "BR")
 
 
 @dataclass(frozen=True)
-class RecEntry:
-    """One recording-sequence entry: a value plus its marks."""
-
-    value: object
-    overlined: bool
-    underlined: bool
-
-    @property
-    def letter(self) -> str:
-        if self.overlined and self.underlined:
-            return PURPLE
-        return RED if self.overlined else BLUE
-
-
-@dataclass(frozen=True)
 class RecordingSequence:
-    """Increasing sequence of marked values maintained by double bumping."""
+    """Increasing sequence of values maintained by double bumping, tinted
+    letter by letter by its colour word."""
 
-    entries: tuple[RecEntry, ...] = ()
+    _values: tuple = ()
+    _word: ColourWord = ""
 
     def values(self) -> tuple:
-        return tuple(e.value for e in self.entries)
+        return self._values
 
     def colour_word(self) -> ColourWord:
-        return "".join(e.letter for e in self.entries)
+        return self._word
 
 
 def double_bump_step(rec: RecordingSequence, value) -> RecordingSequence:
     """Insert one value into a recording sequence.
 
-    The value enters with both marks at its ordered position; the first
-    overline strictly to its right and the first underline strictly to its
-    left are removed, and entries left without any mark are dropped.
+    The value enters at its ordered position j, the colour word steps by
+    _play at gap j, and the values of the letters that step deletes go
+    with them.
     """
-    entries = list(rec.entries)
-    for e in entries:
-        if e.value == value:
-            raise ValueError(f"value {value!r} already recorded")
-    pos = 0
-    while pos < len(entries) and entries[pos].value < value:
-        pos += 1
-    entries.insert(pos, RecEntry(value, True, True))
-    for i in range(pos + 1, len(entries)):
-        e = entries[i]
-        if e.overlined:
-            entries[i] = RecEntry(e.value, False, e.underlined)
-            break
-    for i in range(pos - 1, -1, -1):
-        e = entries[i]
-        if e.underlined:
-            entries[i] = RecEntry(e.value, e.overlined, False)
-            break
-    return RecordingSequence(tuple(e for e in entries if e.overlined or e.underlined))
+    values = list(rec._values)
+    j = bisect_left(values, value)
+    if j < len(values) and values[j] == value:
+        raise ValueError(f"value {value!r} already recorded")
+    cid, rmerge, lmerge = _play(_wid(rec._word), j)
+    values.insert(j, value)
+    for i in (rmerge, lmerge):
+        if i >= 0:
+            del values[i]
+    return RecordingSequence(tuple(values), _word_text[cid])
 
 
-def double_bump(values: Iterable) -> RecordingSequence:
-    """Left fold of double_bump_step over a sequence of distinct values."""
+def _distinct(values: Iterable) -> list:
+    """The values as a list, once none of them repeats."""
     values = list(values)
     # double_bump_step sees only the recorded values, not the dropped ones.
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
+    return values
+
+
+def double_bump(values: Iterable) -> RecordingSequence:
+    """Left fold of double_bump_step over a sequence of distinct values."""
     rec = RecordingSequence()
-    for v in values:
+    for v in _distinct(values):
         rec = double_bump_step(rec, v)
     return rec
 
@@ -198,17 +184,18 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 # ---------------------------------------------------------------------------
 # Interned colour words: the one implementation of the move operator.
 #
-# Every solver that plays on colour words shares this table.  A word is
-# interned once as a small int id with its (reddish, bluish) counts.  Every
-# gap is played by _play, the one place where the bumping rule is written,
-# and only the dense-order view caches its result: a list of child ids per
-# word in which None marks a gap not yet built, so that view builds only the
-# gaps it reaches and never one whose child passes its caps.  The chain
-# solvers keep their own per-word rows and never play a critical gap, so
-# they intern no terminal word.  The operator maps admissible words to
-# admissible words, so only words entering from outside are validated (by
-# callers).  Count pairs take few distinct values and are shared between
-# words.
+# Every solver that plays on colour words shares this table, and so does
+# double_bump_step, which interns the words a recording sequence passes
+# through.  A word is interned once as a small int id with its (reddish,
+# bluish) counts.  Every gap is played by _play, the one place where the
+# bumping rule is written, and only the dense-order view caches its result:
+# a list of child ids per word in which None marks a gap not yet built, so
+# that view builds only the gaps it reaches and never one whose child
+# passes its caps.  The chain solvers keep their own per-word rows and never
+# play a critical gap, so they intern no terminal word.  The operator maps
+# admissible words to admissible words, so only words entering from outside
+# are validated (by callers).  Count pairs take few distinct values and are
+# shared between words.
 #
 # The table is process-global and grows without bound; interning is
 # check-then-act without a lock, so it must not be shared across threads.
@@ -246,7 +233,8 @@ def _play(wid: int, j: int) -> tuple[int, int, int]:
     letter before j (index lb, or -1) its blue tinge.  rmerge/lmerge index
     the left gap of a pair of adjacent gaps that a deleted letter merges in
     the vector (gaps[:j], l, r, gaps[j+1:]), or are -1; rmerge is applied
-    first.
+    first.  They are also the indices of the deleted letters in the word
+    with the P inserted.
     """
     word = _word_text[wid]
     r, b = _word_counts[wid]

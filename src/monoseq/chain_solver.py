@@ -28,7 +28,6 @@ sequence), so it is skipped without being searched or memoized.
 from __future__ import annotations
 
 import math
-import time
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -66,7 +65,6 @@ class SolveReport:
     outcome: Outcome
     nodes_expanded: int
     smallest_winning_move: Optional[int]
-    elapsed: float
 
     def __post_init__(self):
         if (self.smallest_winning_move is not None) != (self.outcome is Outcome.N):
@@ -348,15 +346,14 @@ class ChainSolver:
         """Outcome of the empty board of (a, d, [n])."""
         if n < 0:
             raise ValueError("deck size must be nonnegative")
-        t0 = time.perf_counter()
         a, d = self.params.a, self.params.d
         if n < min(a, d):
             # The deck is too small for any critical sequence to ever form.
-            return SolveReport(Outcome.D, 0, None, time.perf_counter() - t0)
+            return SolveReport(Outcome.D, 0, None)
         start_nodes = len(self._memo)
         outcome, swm = self._solve_root(n)
         nodes = len(self._memo) - start_nodes
-        return SolveReport(outcome, nodes, swm, time.perf_counter() - t0)
+        return SolveReport(outcome, nodes, swm)
 
     def _solve_root(self, n: int) -> tuple[Outcome, Optional[int]]:
         """Scan the root's splits in ascending card order.

@@ -18,7 +18,7 @@ from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from . import golden
-from .bumping import RecordingSequence, double_bump_step, enumerate_admissible
+from .bumping import RecordingSequence, _distinct, double_bump_step, enumerate_admissible
 from .chain_solver import ChainSolver
 from .errors import CHECK_EVERY, ResourceLimitError, check_memory
 from .extended_solver import insert_at, lds, lis, parity_outcome, safe_slot, solve_extended
@@ -49,6 +49,7 @@ def _print_result(payload: dict, as_json: bool) -> int:
 
 def _cmd_solve_chain(args) -> int:
     params = GameParams(args.a, args.d, Mode(args.mode))
+    t0 = time.perf_counter()
     report = ChainSolver(params).solve(args.n)
     payload = {
         "a": args.a,
@@ -60,7 +61,7 @@ def _cmd_solve_chain(args) -> int:
         "nodes_expanded": report.nodes_expanded,
         # A fresh solver's memo holds exactly the states this solve expanded.
         "memo_entries": report.nodes_expanded,
-        "elapsed_s": round(report.elapsed, 6),
+        "elapsed_s": round(time.perf_counter() - t0, 6),
     }
     return _print_result(payload, args.json)
 
@@ -115,10 +116,12 @@ def _cmd_bump(args) -> int:
     # Build every line before printing, so a bad value prints no partial trace.
     rec = RecordingSequence()
     lines = []
-    for v in _parse_values(args.trace):
+    for v in _distinct(_parse_values(args.trace)):
         rec = double_bump_step(rec, v)
-        entries = " ".join(f"{e.value}:{e.letter}" for e in rec.entries)
+        entries = " ".join(f"{x}:{c}" for x, c in zip(rec.values(), rec.colour_word()))
         lines.append(f"play {v} -> recording {entries} | colour {rec.colour_word()}")
+        if len(lines) % CHECK_EVERY == 1:
+            check_memory(lines)
     for line in lines:
         print(line)
     return 0

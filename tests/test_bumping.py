@@ -95,6 +95,17 @@ class TestDoubleBump:
             with pytest.raises(ValueError):
                 double_bump(values)
 
+    def test_values_may_be_any_ordered_objects(self):
+        # Double bumping only orders values, so values shifted to floats or
+        # mapped to letters give the same word and the mapped values.
+        for m in range(0, 7):
+            for perm in permutations(range(m)):
+                rec = double_bump(perm)
+                for f in (lambda v: v + 0.5, lambda v: chr(97 + v)):
+                    mapped = double_bump(map(f, perm))
+                    assert mapped.colour_word() == rec.colour_word()
+                    assert mapped.values() == tuple(map(f, rec.values()))
+
     def test_counts_match_subsequence_search(self):
         # Reddish = longest ascending, bluish = longest descending, and the
         # result is always admissible; exhaustive up to length 6, sampled
@@ -114,8 +125,9 @@ class TestDoubleBump:
 
         for perm in permutations(range(1, 7)):
             rec = double_bump(perm)
-            over = [e.value for e in rec.entries if e.overlined]
-            under = [e.value for e in rec.entries if e.underlined]
+            marked = list(zip(rec.values(), rec.colour_word()))
+            over = [v for v, c in marked if c != "B"]
+            under = [v for v, c in marked if c != "R"]
             for j, value in enumerate(over, start=1):
                 least_max = min(
                     max(c)
@@ -336,7 +348,10 @@ class TestWordTable:
 
     def test_interned_words_stay_admissible(self):
         # The move operator is closed on admissible words, which is why
-        # interned children are never re-checked.
+        # interned children are never re-checked; double bumping interns
+        # the words it passes through as well.
+        for perm in permutations(range(1, 8)):
+            colour_of(perm)
         solve_q(GameParams(8, 5))
         assert all(is_admissible(w) for w in _word_text)
         for wid, word in enumerate(_word_text):

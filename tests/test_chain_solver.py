@@ -234,7 +234,7 @@ class TestSolveChain:
     def test_report_move_iff_n(self):
         # A smallest winning move belongs to an N outcome only.
         with pytest.raises(ValueError, match="iff outcome is N"):
-            SolveReport(Outcome.P, 0, 1, 0.0)
+            SolveReport(Outcome.P, 0, 1)
 
     @pytest.mark.parametrize(
         "a,d,n,mode,expected",

@@ -266,10 +266,11 @@ class TestBumpTrace:
         assert code == 0
         assert out.strip().splitlines()[-1].endswith("PP")
 
-    @pytest.mark.parametrize("trace", ["5,5", "1,2,3,2", "5,x"])
+    @pytest.mark.parametrize("trace", ["5,5", "1,2,3,2", "1,2,0,1", "5,x"])
     def test_bad_value_prints_no_partial_trace(self, capsys, trace):
-        # A repeat late in the trace, or a value that does not parse, prints
-        # none of the lines before it.
+        # A repeat late in the trace, also of a value that playing 0 has
+        # dropped from the recording sequence (1,2,0,1), or a value that
+        # does not parse, prints none of the lines before it.
         code, out, err = invoke(capsys, "bump", "--trace", trace)
         assert code == 2
         assert out == ""
@@ -277,6 +278,13 @@ class TestBumpTrace:
 
     def test_empty_trace_prints_nothing(self, capsys):
         assert invoke(capsys, "bump", "--trace", "") == (0, "", "")
+
+    def test_memory_guard_checks_lines(self, capsys, zero_budget):
+        code, out, err = invoke(capsys, "bump", "--trace", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: memory budget exceeded")
+        assert err.count("\n") == 1
 
 
 class TestEnumerate:
