@@ -197,8 +197,9 @@ def reverse_complement(word: ColourWord) -> ColourWord:
 # are validated (by callers).  Count pairs take few distinct values and are
 # shared between words.
 #
-# The table is process-global and grows without bound; interning is
-# check-then-act without a lock, so it must not be shared across threads.
+# The table is process-global and only grows, so interning checks memory
+# every CHECK_EVERY words, once all four lists hold the new word; interning
+# is check-then-act without a lock, so it must not be shared across threads.
 
 _word_ids: dict[str, int] = {}
 _word_text: list[str] = []
@@ -213,6 +214,8 @@ def _intern(word: str, counts: tuple[int, int]) -> int:
     _word_text.append(word)
     _word_counts.append(_count_pairs.setdefault(counts, counts))
     _word_kids.append(None)
+    if len(_word_text) % CHECK_EVERY == 0:
+        check_memory(_word_ids)
     return wid
 
 

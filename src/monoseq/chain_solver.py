@@ -149,8 +149,8 @@ def _make_search(params: GameParams, memo: dict):
     memo_get = memo.get
 
     def build(wid: int) -> tuple:
-        """(gap shift, skip mask, child critical mask, split data) for each
-        playable gap of the word.
+        """(gap shift, skip mask, split data) for each playable gap of the
+        word.
 
         Split data turns the parent's gap fields into the l = 0 child and
         clamps it; only the fields pl and pl + 1 that the split fills vary
@@ -160,9 +160,9 @@ def _make_search(params: GameParams, memo: dict):
         played, so no terminal word is interned: in misere play they are
         never played, and in normal play a state with a card in one is N,
         so no parent searches it.  The skip mask marks the parent fields
-        that fill a child's critical gap for every l; a critical pl
-        (pl + 1) leaves only l = 0 (l = gj - 1), and the critical mask
-        marks it for the root scan, which splits every l.
+        that fill a child's critical gap for every l; the ends bits mark a
+        critical pl (bit 0) and pl + 1 (bit 1), which leave only l = 0 and
+        l = gj - 1.
         """
         held = _gap_bounds(wid, a, d)
         rows = []
@@ -181,19 +181,17 @@ def _make_search(params: GameParams, memo: dict):
             for i in (rt, ls):
                 if i >= 0:
                     source[i] += source.pop(i + 1)
-            skip = crit = 0
+            skip = ends = 0
             if normal:
                 for i, b in enumerate(bounds):
                     if b == 1:
                         skip |= sum(fmask << bits * f for f in source[i])
-                        if i == pl or i == pr:
-                            crit |= fmask << bits * i
+                        ends |= (i == pl) | (i == pr) << 1
             others = tuple(
                 (bits * i, b)
                 for i, b in enumerate(bounds)
                 if sum(held[f] for f in source[i]) > b and i != pl and i != pr
             )
-            ends = (crit >> bits * pl & 1) | (crit >> bits * pr & 1) << 1
             data = (
                 (1 << sj) - 1,
                 sj + bits,
@@ -210,7 +208,7 @@ def _make_search(params: GameParams, memo: dict):
                 1 << bits * pr,
                 ends,
             )
-            rows.append((sj, skip, crit, data))
+            rows.append((sj, skip, data))
         out = word_rows[wid] = tuple(rows)
         return out
 
@@ -285,7 +283,7 @@ def _make_search(params: GameParams, memo: dict):
         if rows is None:
             rows = build(wid)
         out = _P
-        for sj, skip, _, data in rows:
+        for sj, skip, data in rows:
             gj = g >> sj & fmask
             if not gj or g & skip:
                 continue
@@ -350,35 +348,26 @@ class ChainSolver:
         if n < min(a, d):
             # The deck is too small for any critical sequence to ever form.
             return SolveReport(Outcome.D, 0, None)
+        # Scan the root's splits in ascending card order.  The root gap
+        # holds min(n, B(a, d)) cards.  Split l is the card l+1 up to
+        # l = B(a, d-1) and keeps gap-1-l cards above it beyond that, so it
+        # is the card n-(gap-1-l); both agree when gap = n.  No two splits
+        # of the root give the same clamped child, so split gives one child
+        # per l, from l = gap - 1 when only the top card is left (ends = 2).
         start_nodes = len(self._memo)
-        outcome, swm = self._solve_root(n)
-        nodes = len(self._memo) - start_nodes
-        return SolveReport(outcome, nodes, swm)
-
-    def _solve_root(self, n: int) -> tuple[Outcome, Optional[int]]:
-        """Scan the root's splits in ascending card order.
-
-        The root gap holds min(n, B(a, d)) cards.  Split l is the card l+1
-        up to l = B(a, d-1) and keeps gap-1-l cards above it beyond that,
-        so it is the card n-(gap-1-l); both agree when gap = n.  No two
-        splits of the root give the same clamped child, so the split list
-        has one entry per l.
-        """
-        value = self._value
         gap = min(n, self._bound)
-        ((_, _, crit, data),) = self._word_rows(_wid(""))
-        lo = large_gap_bound(self.params.a, self.params.d - 1)
-        out = _P
-        for l, child in enumerate(self._split(gap, gap, data[:-1] + (0,))):
-            if child & crit:
-                # The opponent completes a critical sequence: N.
-                continue
-            cv = value(child)
+        ((_, _, data),) = self._word_rows(_wid(""))
+        first = gap - 1 if data[-1] == 2 else 0
+        lo = large_gap_bound(a, d - 1)
+        outcome, swm = _P, None
+        for l, child in enumerate(self._split(gap, gap, data), first):
+            cv = self._value(child)
             if cv is _P:
-                return _N, (l + 1 if l <= lo else n - (gap - 1 - l))
+                outcome, swm = _N, (l + 1 if l <= lo else n - (gap - 1 - l))
+                break
             if cv is _D:
-                out = _D
-        return out, None
+                outcome = _D
+        return SolveReport(outcome, len(self._memo) - start_nodes, swm)
 
 
 #: Former name of the clamped search, kept for callers that construct it.

@@ -113,17 +113,11 @@ def _parse_values(text: str) -> list[int]:
 
 
 def _cmd_bump(args) -> int:
-    # Build every line before printing, so a bad value prints no partial trace.
     rec = RecordingSequence()
-    lines = []
     for v in _distinct(_parse_values(args.trace)):
         rec = double_bump_step(rec, v)
         entries = " ".join(f"{x}:{c}" for x, c in zip(rec.values(), rec.colour_word()))
-        lines.append(f"play {v} -> recording {entries} | colour {rec.colour_word()}")
-        if len(lines) % CHECK_EVERY == 1:
-            check_memory(lines)
-    for line in lines:
-        print(line)
+        print(f"play {v} -> recording {entries} | colour {rec.colour_word()}")
     return 0
 
 

@@ -12,6 +12,7 @@ parity rule gives the game's closed-form outcome.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -25,17 +26,11 @@ def lis(perm: Perm) -> int:
     """Longest increasing subsequence length."""
     best: list[int] = []
     for v in perm:
-        lo, hi = 0, len(best)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if best[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(best):
+        i = bisect_left(best, v)
+        if i == len(best):
             best.append(v)
         else:
-            best[lo] = v
+            best[i] = v
     return len(best)
 
 

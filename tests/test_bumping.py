@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -12,6 +13,7 @@ from monoseq import (
     RecordingSequence,
     binary_encode,
     bluish,
+    bumping,
     colour_children,
     colour_of,
     double_bump,
@@ -28,10 +30,12 @@ from monoseq.bumping import (
     _play,
     _wid,
     _word_counts,
+    _word_ids,
     _word_kids,
     _word_text,
 )
 from monoseq.chain_solver import _gap_bounds
+from monoseq.errors import ResourceLimitError
 
 from conftest import brute_lds, brute_lis
 
@@ -356,6 +360,16 @@ class TestWordTable:
         assert all(is_admissible(w) for w in _word_text)
         for wid, word in enumerate(_word_text):
             assert _word_counts[wid] == (reddish(word), bluish(word))
+
+    def test_memory_guard_checks_word_table(self, monkeypatch, zero_budget):
+        # The table only grows; interning checks memory every CHECK_EVERY
+        # words, once the new word is in all four lists.
+        monkeypatch.setattr(bumping, "CHECK_EVERY", 2)
+        values = random.Random(30).sample(range(1000), 300)
+        with pytest.raises(ResourceLimitError, match="memory budget exceeded"):
+            double_bump(values)
+        assert len(_word_ids) == len(_word_text) == len(_word_counts) == len(_word_kids)
+        assert all(_word_ids[w] == wid for wid, w in enumerate(_word_text))
 
 
 class TestWordPacking:

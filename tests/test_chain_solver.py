@@ -94,7 +94,7 @@ def audit_chain_memo(solver: ChainSolver) -> int:
         if g & critical(wid):
             assert not normal, f"normal-play entry {state:#x} holds a card in a critical gap"
             types.append(_N)
-        for sj, _, _, data in rows(wid):
+        for sj, _, data in rows(wid):
             gj = g >> sj & fmask
             if gj:
                 types += map(child_type, solver._split(g, gj, data[:-1] + (0,)))
@@ -481,8 +481,8 @@ class TestSplit:
     def test_matches_per_child_clamp(self, a, d, mode, top):
         # build's packed child data (merge ops, the clamp list, skip masks
         # and critical ends) against the referee, on every memo state.
-        # With the ends dropped, as the root scan and the audit read it,
-        # split must give every clamped child.
+        # With the ends dropped, as the audit reads it, split must give
+        # every clamped child.
         normal = mode is Mode.NORMAL
         solver = ChainSolver(GameParams(a, d, mode))
         for n in range(1, top + 1):
@@ -495,8 +495,8 @@ class TestSplit:
         for state in solver._memo:
             wid, g = state >> shift, state & (1 << shift) - 1
             playable = [j for j, b in enumerate(_gap_bounds(wid, a, d)) if b > 1]
-            assert [sj // bits for sj, _, _, _ in rows(wid)] == playable
-            for sj, skip, _, data in rows(wid):
+            assert [sj // bits for sj, _, _ in rows(wid)] == playable
+            for sj, skip, data in rows(wid):
                 gj = g >> sj & fmask
                 if not gj:
                     continue

@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from monoseq import cli, enumerate_admissible, errors
+from monoseq import bumping, cli, enumerate_admissible, errors
 from monoseq.chain_solver import ChainSolver, closed_form_d2, closed_form_d3, stabilization_bound
 from monoseq.cli import run
 from monoseq.golden import dump_csv_rows, emit_table, golden_cases, load_csv_rows
@@ -279,10 +280,15 @@ class TestBumpTrace:
     def test_empty_trace_prints_nothing(self, capsys):
         assert invoke(capsys, "bump", "--trace", "") == (0, "", "")
 
-    def test_memory_guard_checks_lines(self, capsys, zero_budget):
-        code, out, err = invoke(capsys, "bump", "--trace", "1")
+    def test_memory_guard_checks_word_table(self, capsys, monkeypatch, zero_budget):
+        # Lines stream as they are built; the guard on the colour-word table
+        # ends a long trace with exit 3 and one error line, after whatever
+        # lines were already printed.
+        monkeypatch.setattr(bumping, "CHECK_EVERY", 2)
+        trace = ",".join(map(str, random.Random(30).sample(range(1000), 300)))
+        code, out, err = invoke(capsys, "bump", "--trace", trace)
         assert code == 3
-        assert out == ""
+        assert out.count("\n") < 300
         assert err.startswith("error: memory budget exceeded")
         assert err.count("\n") == 1
 
@@ -326,6 +332,12 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--suite", "extended-parity")
         assert code == 0
         assert "0 failed" in out
+
+    def test_extended_parity_full_suite(self, capsys):
+        # --full adds (4,4), (5,5), (6,4) and (4,6) to the quick pairs.
+        code, out, _ = invoke(capsys, "verify", "--suite", "extended-parity", "--full")
+        assert code == 0
+        assert out.splitlines()[-1] == "SUITE extended-parity: 11 passed, 0 failed"
 
     def test_misere_suite_quick_slice(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "misere-table")

@@ -309,6 +309,27 @@ class TestPSets:
         assert lines == list(referee_exact_transcript(pset, params))
         assert extra in ("PPPP", "RRRRRP") or extra not in bumping._word_ids
 
+    @pytest.mark.parametrize(
+        "check, transcript, pset, params, line",
+        [
+            (
+                verify_exact_pset, exact_pset_transcript, p4_set(6) | {""}, GameParams(6, 4),
+                "  member (empty): unexpected witness P FAIL",
+            ),
+            (
+                verify_sufficient_pset, sufficient_pset_transcript, p5_set(6) | {"RRRRP"},
+                GameParams(6, 5), "  member RRRRP: has a terminal child FAIL",
+            ),
+        ],
+        ids=["exact-member-with-witness", "sufficient-member-with-terminal-child"],
+    )
+    def test_checker_fails_member_that_is_not_p(self, check, transcript, pset, params, line):
+        # The empty word has the member P as a reply, and RRRRP, one reddish
+        # letter short of a = 6, has a terminal child: each fails on its
+        # own line, and nothing else fails.
+        assert not check(pset, params)
+        assert [text for ok, text in transcript(pset, params) if not ok] == [line]
+
     def test_sufficient_p5_mutations_fail(self):
         base = p5_set(6)
         for member in base:
